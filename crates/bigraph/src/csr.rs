@@ -12,14 +12,6 @@ pub enum Side {
 }
 
 impl Side {
-    /// The other side.
-    pub fn opposite(self) -> Side {
-        match self {
-            Side::U => Side::V,
-            Side::V => Side::U,
-        }
-    }
-
     /// Suffix used by the paper's dataset naming convention (`TrU`, `TrV`).
     pub fn suffix(self) -> &'static str {
         match self {
@@ -325,8 +317,6 @@ mod tests {
 
     #[test]
     fn side_helpers() {
-        assert_eq!(Side::U.opposite(), Side::V);
-        assert_eq!(Side::V.opposite(), Side::U);
         assert_eq!(Side::U.to_string(), "U");
         assert_eq!(format!("Tr{}", Side::V), "TrV");
     }

@@ -183,18 +183,6 @@ impl DynamicBigraph {
         base - removed + added
     }
 
-    /// Degree of `v`; see [`Self::degree_u`].
-    pub fn degree_v(&self, v: VertexId) -> usize {
-        let base = if (v as usize) < self.base.num_v() {
-            self.base.neighbors_v(v).len()
-        } else {
-            0
-        };
-        let removed = self.removed_t.range((v, 0)..=(v, VertexId::MAX)).count();
-        let added = self.added_t.range((v, 0)..=(v, VertexId::MAX)).count();
-        base - removed + added
-    }
-
     /// The base CSR's adjacency slice for `u`, available only when the
     /// overlay holds no entry for `u` (so the slice *is* the current
     /// adjacency). Galloping intersection needs random access; callers
@@ -215,28 +203,6 @@ impl DynamicBigraph {
         }
         Some(if (u as usize) < self.base.num_u() {
             self.base.neighbors_u(u)
-        } else {
-            &[]
-        })
-    }
-
-    /// V-side counterpart of [`Self::base_only_neighbors_u`].
-    pub fn base_only_neighbors_v(&self, v: VertexId) -> Option<&[VertexId]> {
-        let touched = self
-            .added_t
-            .range((v, 0)..=(v, VertexId::MAX))
-            .next()
-            .is_some()
-            || self
-                .removed_t
-                .range((v, 0)..=(v, VertexId::MAX))
-                .next()
-                .is_some();
-        if touched {
-            return None;
-        }
-        Some(if (v as usize) < self.base.num_v() {
-            self.base.neighbors_v(v)
         } else {
             &[]
         })
@@ -643,19 +609,11 @@ mod tests {
                 base_only_seen += 1;
             }
         }
-        for v in 0..g.num_v() as VertexId {
-            let merged: Vec<_> = g.neighbors_v(v).collect();
-            assert_eq!(g.degree_v(v), merged.len(), "degree_v({v})");
-            if let Some(slice) = g.base_only_neighbors_v(v) {
-                assert_eq!(slice, &merged[..], "base_only_neighbors_v({v})");
-            }
-        }
         assert!(base_only_seen > 0, "some vertices must be overlay-free");
         // An overlay-touched vertex must refuse the fast slice.
         let (u, v) = (0, g.num_v() as VertexId + 1);
         g.apply_batch(&[EdgeOp::Insert(u, v)]);
         assert!(g.base_only_neighbors_u(u).is_none());
-        assert!(g.base_only_neighbors_v(v).is_none());
     }
 
     #[test]

@@ -52,27 +52,6 @@ pub fn naive_total(g: &bigraph::BipartiteCsr) -> u64 {
     naive_primary_counts(g.view(Side::U)).iter().sum::<u64>() / 2
 }
 
-/// Butterflies shared between a specific primary pair `(a, b)`:
-/// `C(|N(a) ∩ N(b)|, 2)`. Used by peeling tests.
-pub fn shared_butterflies(view: SideGraph<'_>, a: VertexId, b: VertexId) -> u64 {
-    let (na, nb) = (view.neighbors_primary(a), view.neighbors_primary(b));
-    let mut i = 0;
-    let mut j = 0;
-    let mut c = 0u64;
-    while i < na.len() && j < nb.len() {
-        match na[i].cmp(&nb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                c += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    c * c.saturating_sub(1) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,21 +125,6 @@ mod tests {
         assert_eq!(c.u[3], 1);
         assert_eq!(c.u[0], 2);
         assert_eq!(c.u[2], 5);
-    }
-
-    #[test]
-    fn shared_butterflies_pairwise() {
-        let g = from_edges(
-            3,
-            3,
-            &[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)],
-        )
-        .unwrap();
-        let v = g.view(Side::U);
-        // u0, u1 share 3 neighbours -> C(3,2) = 3 butterflies.
-        assert_eq!(shared_butterflies(v, 0, 1), 3);
-        // u0, u2 share only v0 -> 0 butterflies.
-        assert_eq!(shared_butterflies(v, 0, 2), 0);
     }
 
     #[test]

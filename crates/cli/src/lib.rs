@@ -44,10 +44,8 @@ pub enum Command {
         input: String,
         ops: String,
         side: Side,
-        config: Config,
-        dirty_threshold: f64,
-        compact_threshold: f64,
-        verify: bool,
+        /// `--partitions`, `--threads`, both thresholds, `--verify`.
+        options: EngineOptions,
         output: Option<String>,
         json: bool,
     },
@@ -56,10 +54,8 @@ pub enum Command {
     /// [--wal DIR] [--checkpoint-every N]`
     Serve {
         input: String,
-        config: Config,
-        dirty_threshold: f64,
-        compact_threshold: f64,
-        verify: bool,
+        /// As for `stream`.
+        options: EngineOptions,
         /// Scripted session: newline-delimited JSON requests; the run
         /// emits one `serve-session` report document instead of framing.
         requests: Option<String>,
@@ -304,12 +300,25 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
 
     // `--out` is an alias for `--output`.
     let output = || opt("--output").or_else(|| opt("--out")).cloned();
+    let config = || -> Result<Config, UsageError> {
+        let mut config = Config::default();
+        config.partitions = opt_usize("--partitions", config.partitions)?;
+        config.threads = opt_usize("--threads", 0)?;
+        Ok(config)
+    };
+    let engine_options = || -> Result<EngineOptions, UsageError> {
+        let defaults = EngineOptions::default();
+        Ok(EngineOptions {
+            config: config()?,
+            dirty_threshold: opt_f64("--dirty-threshold", defaults.dirty_threshold)?,
+            compact_threshold: opt_f64("--compact-threshold", defaults.compact_threshold)?,
+            verify: flag("--verify"),
+        })
+    };
 
     match cmd.as_str() {
         "tip" => {
-            let mut config = Config::default();
-            config.partitions = opt_usize("--partitions", config.partitions)?;
-            config.threads = opt_usize("--threads", 0)?;
+            let mut config = config()?;
             config.huc = !flag("--no-huc");
             config.dgm = !flag("--no-dgm");
             Ok(Command::Tip {
@@ -340,43 +349,20 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 .filter(|s| !s.starts_with('-'))
                 .map(|s| s.to_string())
                 .ok_or_else(|| UsageError("`stream` needs a graph file and an ops file".into()))?;
-            let mut config = Config::default();
-            config.partitions = opt_usize("--partitions", config.partitions)?;
-            config.threads = opt_usize("--threads", 0)?;
             Ok(Command::Stream {
                 input,
                 ops,
                 side,
-                config,
-                dirty_threshold: opt_f64(
-                    "--dirty-threshold",
-                    receipt::dynamic::DEFAULT_DIRTY_THRESHOLD,
-                )?,
-                compact_threshold: opt_f64(
-                    "--compact-threshold",
-                    bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD,
-                )?,
-                verify: flag("--verify"),
+                options: engine_options()?,
                 output: output(),
                 json: flag("--json"),
             })
         }
         "serve" => {
-            let mut config = Config::default();
-            config.partitions = opt_usize("--partitions", config.partitions)?;
-            config.threads = opt_usize("--threads", 0)?;
+            let options = engine_options()?;
             Ok(Command::Serve {
                 input: positional(&rest)?,
-                config,
-                dirty_threshold: opt_f64(
-                    "--dirty-threshold",
-                    receipt::dynamic::DEFAULT_DIRTY_THRESHOLD,
-                )?,
-                compact_threshold: opt_f64(
-                    "--compact-threshold",
-                    bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD,
-                )?,
-                verify: flag("--verify"),
+                options,
                 requests: opt("--requests").cloned(),
                 socket: opt("--socket").cloned(),
                 output: output(),
@@ -542,10 +528,19 @@ fn load(input: &str) -> Result<BipartiteCsr, String> {
     bigraph::io::read_graph_path(input).map_err(|e| e.to_string())
 }
 
-/// Reads a graph in either on-disk format, inferring the FORMATS.md §1
-/// binary image from a `.bgr` extension (same rule as `convert`).
-fn load_any(path: &str) -> Result<BipartiteCsr, String> {
-    if path.ends_with(".bgr") {
+/// The on-disk format of `path`: `explicit` (`convert --from`/`--to`) if
+/// given, else `binary` (FORMATS.md §1) for `.bgr` and `text` otherwise.
+fn format_of<'a>(path: &str, explicit: Option<&'a str>) -> &'a str {
+    explicit.unwrap_or(if path.ends_with(".bgr") {
+        "binary"
+    } else {
+        "text"
+    })
+}
+
+/// Reads a graph in either on-disk format (see [`format_of`]).
+fn load_any(path: &str, format: Option<&str>) -> Result<BipartiteCsr, String> {
+    if format_of(path, format) == "binary" {
         bigraph::binfmt::read_binary_graph_path(path)
             .map(|r| r.graph)
             .map_err(|e| e.to_string())
@@ -554,9 +549,9 @@ fn load_any(path: &str) -> Result<BipartiteCsr, String> {
     }
 }
 
-/// Writes a graph in either on-disk format, `.bgr` by extension.
-fn write_any(g: &BipartiteCsr, path: &str) -> Result<(), String> {
-    if path.ends_with(".bgr") {
+/// Writes a graph in either on-disk format (see [`format_of`]).
+fn write_any(g: &BipartiteCsr, path: &str, format: Option<&str>) -> Result<(), String> {
+    if format_of(path, format) == "binary" {
         bigraph::binfmt::write_binary_graph_path(path, g)
             .map(|_| ())
             .map_err(|e| format!("cannot write {path}: {e}"))
@@ -615,6 +610,40 @@ fn rebase_ops(
         .collect()
 }
 
+/// Writes stream batch rows as TSV (text-mode `stream` output), preceded
+/// by the column header when `header` is set.
+fn write_stream_tsv(
+    out: &mut dyn Write,
+    header: bool,
+    rows: &[receipt::report::StreamBatchReport],
+) -> Result<(), String> {
+    if header {
+        writeln!(
+            out,
+            "# batch\t+ins\t-del\tskip\tgained\tlost\ttotal_bf\tpolicy\tdirty\ttheta_max"
+        )
+        .map_err(|e| e.to_string())?;
+    }
+    for b in rows {
+        writeln!(
+            out,
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            b.batch,
+            b.inserted,
+            b.deleted,
+            b.skipped,
+            b.butterflies_gained,
+            b.butterflies_lost,
+            b.total_butterflies,
+            b.policy.as_str(),
+            b.dirty,
+            b.theta_max,
+        )
+        .map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
 /// Drives a stream of batches through a [`StreamEngine`], producing the
 /// versioned per-batch report. `on_row` sees every completed batch row as
 /// soon as it exists (the incremental-emission hook: callers flush it so
@@ -623,28 +652,18 @@ fn rebase_ops(
 /// the materialized graph (a mismatch is a run error → exit 1). Honours
 /// `config.threads` the same way `tip_decompose` does: a nonzero value
 /// runs the whole stream inside a dedicated pool of that size.
-#[allow(clippy::too_many_arguments)]
 fn run_stream(
     input: &str,
     ops: &str,
     g: bigraph::BipartiteCsr,
     batches: &[Vec<bigraph::EdgeOp>],
     side: Side,
-    config: Config,
-    dirty_threshold: f64,
-    compact_threshold: f64,
-    verify: bool,
+    options: EngineOptions,
     on_row: &mut (dyn FnMut(&receipt::report::StreamBatchReport) -> Result<(), String> + Send),
 ) -> Result<receipt::report::StreamReport, String> {
-    let threads = config.threads;
-    let options = EngineOptions {
-        config: config.clone(),
-        dirty_threshold,
-        compact_threshold,
-        verify,
-    };
+    let threads = options.config.threads;
     let drive = move || -> Result<receipt::report::StreamReport, String> {
-        let engine = StreamEngine::new(g, options);
+        let engine = StreamEngine::new(g, options.clone());
         let mut rows = Vec::with_capacity(batches.len());
         for (i, batch) in batches.iter().enumerate() {
             let outcome = engine
@@ -661,9 +680,9 @@ fn run_stream(
             input: input.to_string(),
             ops: ops.to_string(),
             side,
-            config: config.clone(),
-            dirty_threshold,
-            verified: verify,
+            config: options.config,
+            dirty_threshold: options.dirty_threshold,
+            verified: options.verify,
             batches: rows,
             final_num_edges: snapshot.graph().num_edges(),
             final_total_butterflies: snapshot.total_butterflies(),
@@ -931,6 +950,18 @@ pub fn handle_request(
     Ok((response, false))
 }
 
+/// Why a framed session ended early.
+#[derive(Debug)]
+pub enum SessionError {
+    /// Framing or I/O failure on this one connection; a socket server
+    /// drops the connection and keeps serving.
+    Connection(String),
+    /// An `apply` whose in-engine verification diverged
+    /// ([`handle_request`]'s `Err`): the engine can no longer be trusted,
+    /// so the server stops.
+    Diverged(String),
+}
+
 /// Serves length-prefixed frames until EOF or a `shutdown` request.
 /// Returns `true` iff the session ended with an explicit `shutdown` (so a
 /// socket server can distinguish "client went away" from "stop serving").
@@ -939,12 +970,14 @@ pub fn serve_framed(
     one_based: bool,
     reader: &mut dyn BufRead,
     writer: &mut dyn Write,
-) -> Result<bool, String> {
+) -> Result<bool, SessionError> {
     let mut seq = 0u64;
-    while let Some(text) = read_frame(reader)? {
-        let (response, shutdown) = handle_request(engine, one_based, seq, &text)?;
-        let payload = serde_json::to_string(&response).map_err(|e| e.to_string())?;
-        write_frame(writer, &payload)?;
+    while let Some(text) = read_frame(reader).map_err(SessionError::Connection)? {
+        let (response, shutdown) =
+            handle_request(engine, one_based, seq, &text).map_err(SessionError::Diverged)?;
+        let payload = serde_json::to_string(&response)
+            .map_err(|e| SessionError::Connection(e.to_string()))?;
+        write_frame(writer, &payload).map_err(SessionError::Connection)?;
         seq += 1;
         if shutdown {
             return Ok(true);
@@ -1080,13 +1113,11 @@ pub fn run(cmd: Command) -> Result<(), String> {
             input,
             ops,
             side,
-            config,
-            dirty_threshold,
-            compact_threshold,
-            verify,
+            options,
             output,
             json,
         } => {
+            let verify = options.verify;
             // Ops share the graph file's id base: load both together and
             // shift the ops down when the graph was 1-based.
             let (g, one_based) =
@@ -1113,43 +1144,11 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     let line = serde_json::to_string(b).map_err(|e| e.to_string())?;
                     writeln!(out, "{line}").map_err(|e| e.to_string())?;
                 } else {
-                    if b.batch == 0 {
-                        writeln!(
-                            out,
-                            "# batch\t+ins\t-del\tskip\tgained\tlost\ttotal_bf\tpolicy\tdirty\ttheta_max"
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
-                    writeln!(
-                        out,
-                        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                        b.batch,
-                        b.inserted,
-                        b.deleted,
-                        b.skipped,
-                        b.butterflies_gained,
-                        b.butterflies_lost,
-                        b.total_butterflies,
-                        b.policy.as_str(),
-                        b.dirty,
-                        b.theta_max,
-                    )
-                    .map_err(|e| e.to_string())?;
+                    write_stream_tsv(&mut out, b.batch == 0, std::slice::from_ref(b))?;
                 }
                 out.flush().map_err(|e| e.to_string())
             };
-            let report = run_stream(
-                &input,
-                &ops,
-                g,
-                &batches,
-                side,
-                config,
-                dirty_threshold,
-                compact_threshold,
-                verify,
-                &mut on_row,
-            )?;
+            let report = run_stream(&input, &ops, g, &batches, side, options, &mut on_row)?;
             if json {
                 if incremental {
                     // Compact final document after the NDJSON rows.
@@ -1159,38 +1158,9 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 } else {
                     emit_json(&report, &output)?;
                 }
-            } else if incremental {
-                eprintln!(
-                    "{} batches; final: |E| = {}, butterflies = {}, theta_max = {}{}",
-                    report.batches.len(),
-                    report.final_num_edges,
-                    report.final_total_butterflies,
-                    report.final_theta_max,
-                    if verify { ", all batches verified" } else { "" }
-                );
             } else {
-                let mut out = sink(&output)?;
-                writeln!(
-                    out,
-                    "# batch\t+ins\t-del\tskip\tgained\tlost\ttotal_bf\tpolicy\tdirty\ttheta_max"
-                )
-                .map_err(|e| e.to_string())?;
-                for b in &report.batches {
-                    writeln!(
-                        out,
-                        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                        b.batch,
-                        b.inserted,
-                        b.deleted,
-                        b.skipped,
-                        b.butterflies_gained,
-                        b.butterflies_lost,
-                        b.total_butterflies,
-                        b.policy.as_str(),
-                        b.dirty,
-                        b.theta_max,
-                    )
-                    .map_err(|e| e.to_string())?;
+                if !incremental {
+                    write_stream_tsv(&mut *sink(&output)?, true, &report.batches)?;
                 }
                 eprintln!(
                     "{} batches; final: |E| = {}, butterflies = {}, theta_max = {}{}",
@@ -1205,10 +1175,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Serve {
             input,
-            config,
-            dirty_threshold,
-            compact_threshold,
-            verify,
+            options,
             requests,
             socket,
             output,
@@ -1219,13 +1186,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             // graph file (a 1-based file means 1-based requests).
             let (g, one_based) =
                 bigraph::io::read_graph_path_with_base(&input).map_err(|e| e.to_string())?;
-            let threads = config.threads;
-            let options = EngineOptions {
-                config,
-                dirty_threshold,
-                compact_threshold,
-                verify,
-            };
+            let threads = options.config.threads;
             let drive = move || -> Result<(), String> {
                 let engine = match &wal {
                     None => StreamEngine::new(g, options),
@@ -1271,7 +1232,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         kind: "serve-session".to_string(),
                         input: input.clone(),
                         requests: path,
-                        verified: verify,
+                        verified: engine.options().verify,
                         responses,
                         final_stats: ServeStats::from_snapshot(&engine.snapshot()),
                         time_session_secs: t0.elapsed().as_secs_f64(),
@@ -1291,16 +1252,22 @@ pub fn run(cmd: Command) -> Result<(), String> {
                             Ok(pair) => pair,
                             Err(e) => break Err(format!("accept failed: {e}")),
                         };
-                        let mut reader =
-                            std::io::BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-                        let mut writer = stream;
-                        match serve_framed(&engine, one_based, &mut reader, &mut writer) {
+                        let session = match stream.try_clone() {
+                            Ok(read_half) => serve_framed(
+                                &engine,
+                                one_based,
+                                &mut std::io::BufReader::new(read_half),
+                                &mut &stream,
+                            ),
+                            Err(e) => Err(SessionError::Connection(e.to_string())),
+                        };
+                        match session {
                             Ok(true) => break Ok(()),
                             Ok(false) => continue,
-                            // A client vanishing mid-session is not fatal
-                            // to the server; a verify divergence is.
-                            Err(e) if e.contains("apply") => break Err(e),
-                            Err(e) => eprintln!("session error: {e}"),
+                            // A misbehaving or vanishing client is not
+                            // fatal to the server; a verify divergence is.
+                            Err(SessionError::Diverged(e)) => break Err(e),
+                            Err(SessionError::Connection(e)) => eprintln!("session error: {e}"),
                         }
                     };
                     let _ = std::fs::remove_file(&path);
@@ -1309,7 +1276,9 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 let stdin = std::io::stdin();
                 let mut reader = stdin.lock();
                 let mut writer = std::io::stdout().lock();
-                serve_framed(&engine, one_based, &mut reader, &mut writer).map(|_| ())
+                serve_framed(&engine, one_based, &mut reader, &mut writer)
+                    .map(|_| ())
+                    .map_err(|(SessionError::Connection(e) | SessionError::Diverged(e))| e)
             };
             if threads > 0 {
                 parutil::with_pool(threads, drive)
@@ -1324,32 +1293,11 @@ pub fn run(cmd: Command) -> Result<(), String> {
             to,
             json,
         } => {
-            // `.bgr` means the FORMATS.md §1 binary image; anything else
-            // is the KONECT text edge list.
-            let infer = |path: &str, explicit: &Option<String>| -> String {
-                match explicit {
-                    Some(f) => f.clone(),
-                    None if path.ends_with(".bgr") => "binary".to_string(),
-                    None => "text".to_string(),
-                }
-            };
-            let from = infer(&input, &from);
-            let to = infer(&output, &to);
+            let from = format_of(&input, from.as_deref()).to_string();
+            let to = format_of(&output, to.as_deref()).to_string();
             let t0 = std::time::Instant::now();
-            let g = if from == "binary" {
-                bigraph::binfmt::read_binary_graph_path(&input)
-                    .map_err(|e| e.to_string())?
-                    .graph
-            } else {
-                load(&input)?
-            };
-            if to == "binary" {
-                bigraph::binfmt::write_binary_graph_path(&output, &g)
-                    .map_err(|e| format!("cannot write {output}: {e}"))?;
-            } else {
-                bigraph::io::write_graph_path(&g, &output)
-                    .map_err(|e| format!("cannot write {output}: {e}"))?;
-            }
+            let g = load_any(&input, Some(&from))?;
+            write_any(&g, &output, Some(&to))?;
             let time_convert_secs = t0.elapsed().as_secs_f64();
             let size = |p: &str| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
             let report = receipt::report::ConvertReport {
@@ -1382,15 +1330,13 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     "no store at {dir} (expected checkpoint.meta; see FORMATS.md \u{a7}4)"
                 ));
             }
-            let options = EngineOptions {
-                config: Config::default(),
-                dirty_threshold: receipt::dynamic::DEFAULT_DIRTY_THRESHOLD,
-                compact_threshold: bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD,
-                verify: false,
-            };
             let t0 = std::time::Instant::now();
-            let (engine, info) =
-                StreamEngine::open_durable(std::path::Path::new(&dir), None, options, 0)?;
+            let (engine, info) = StreamEngine::open_durable(
+                std::path::Path::new(&dir),
+                None,
+                EngineOptions::default(),
+                0,
+            )?;
             let time_recover_secs = t0.elapsed().as_secs_f64();
             // "Provable" recovery: the replayed state must agree with a
             // from-scratch recount + re-peel of the materialized graph.
@@ -1476,12 +1422,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     "no store at {dir} (expected checkpoint.meta; see FORMATS.md \u{a7}4)"
                 ));
             }
-            let options = || EngineOptions {
-                config: Config::default(),
-                dirty_threshold: receipt::dynamic::DEFAULT_DIRTY_THRESHOLD,
-                compact_threshold: bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD,
-                verify: false,
-            };
             let entry_line = |e: &VersionEntryReport| {
                 format!(
                     "{}\tlsn {}\t{} butterflies\ttip checksums {:#018x}/{:#018x}",
@@ -1491,7 +1431,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             let mut report = VersionReport::new(&op, &dir);
             match op.as_str() {
                 "tag" => {
-                    let vref = version::tag_head(dpath, &names[0], options())
+                    let vref = version::tag_head(dpath, &names[0], EngineOptions::default())
                         .map_err(|e| e.to_string())?;
                     report.tagged = Some(VersionEntryReport::from_ref(&vref));
                     let vs = VersionStore::open(dpath).map_err(|e| e.to_string())?;
@@ -1556,8 +1496,9 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 }
                 "at" => {
                     let t0 = std::time::Instant::now();
-                    let (engine, info) = StreamEngine::open_at(dpath, &names[0], options())
-                        .map_err(|e| e.to_string())?;
+                    let (engine, info) =
+                        StreamEngine::open_at(dpath, &names[0], EngineOptions::default())
+                            .map_err(|e| e.to_string())?;
                     let time_travel_secs = t0.elapsed().as_secs_f64();
                     let t1 = std::time::Instant::now();
                     if verify {
@@ -1568,7 +1509,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     let time_verify_secs = t1.elapsed().as_secs_f64();
                     let snapshot = engine.snapshot();
                     if let Some(path) = &dump {
-                        write_any(snapshot.graph(), path)?;
+                        write_any(snapshot.graph(), path, None)?;
                     }
                     report.at = Some(TimeTravelReport {
                         version: VersionEntryReport::from_ref(&info.version),
@@ -1635,7 +1576,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             json,
         } => {
             let t0 = std::time::Instant::now();
-            let ga = load_any(&a)?;
+            let ga = load_any(&a, None)?;
             let derived = match op.as_str() {
                 "subgraph" => {
                     // VERSIONING.md §6.1: ids strictly increasing,
@@ -1668,16 +1609,15 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         .csr()
                         .clone()
                 }
-                "union" => {
-                    let gb = load_any(b.as_ref().expect("parse guarantees a second input"))?;
-                    bigraph::derive::union(&ga, &gb)
-                }
-                _ => {
-                    let gb = load_any(b.as_ref().expect("parse guarantees a second input"))?;
-                    bigraph::derive::difference(&ga, &gb)
+                union_or_diff => {
+                    let gb = load_any(b.as_ref().expect("parse guarantees a second input"), None)?;
+                    match union_or_diff {
+                        "union" => bigraph::derive::union(&ga, &gb),
+                        _ => bigraph::derive::difference(&ga, &gb),
+                    }
                 }
             };
-            write_any(&derived, &output)?;
+            write_any(&derived, &output, None)?;
             let report = receipt::report::DeriveReport {
                 schema_version: receipt::report::SCHEMA_VERSION,
                 kind: "derive".to_string(),
@@ -1861,21 +1801,15 @@ mod tests {
                 input,
                 ops,
                 side,
-                dirty_threshold,
-                compact_threshold,
-                verify,
+                options,
                 json,
                 ..
             } => {
                 assert_eq!(input, "g.tsv");
                 assert_eq!(ops, "ops.txt");
                 assert_eq!(side, Side::U);
-                assert_eq!(dirty_threshold, receipt::dynamic::DEFAULT_DIRTY_THRESHOLD);
-                assert_eq!(
-                    compact_threshold,
-                    bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD
-                );
-                assert!(!verify && !json);
+                assert_eq!(options, EngineOptions::default());
+                assert!(!json);
             }
             other => panic!("{other:?}"),
         }
@@ -1894,14 +1828,13 @@ mod tests {
         match cmd {
             Command::Stream {
                 side,
-                dirty_threshold,
-                verify,
+                options,
                 json,
                 ..
             } => {
                 assert_eq!(side, Side::V);
-                assert_eq!(dirty_threshold, 0.5);
-                assert!(verify && json);
+                assert_eq!(options.dirty_threshold, 0.5);
+                assert!(options.verify && json);
             }
             other => panic!("{other:?}"),
         }
@@ -1923,10 +1856,12 @@ mod tests {
             input: graph_path.to_string_lossy().into_owned(),
             ops: ops_path.to_string_lossy().into_owned(),
             side: Side::U,
-            config: Config::default(),
-            dirty_threshold: 0.5,
-            compact_threshold: 0.25,
-            verify: true,
+            options: EngineOptions {
+                dirty_threshold: 0.5,
+                compact_threshold: 0.25,
+                verify: true,
+                ..EngineOptions::default()
+            },
             output: Some(out_path.to_string_lossy().into_owned()),
             json: true,
         })
@@ -1943,10 +1878,12 @@ mod tests {
             input: graph_path.to_string_lossy().into_owned(),
             ops: ops_path.to_string_lossy().into_owned(),
             side: Side::U,
-            config: Config::default(),
-            dirty_threshold: 0.5,
-            compact_threshold: 0.25,
-            verify: false,
+            options: EngineOptions {
+                dirty_threshold: 0.5,
+                compact_threshold: 0.25,
+                verify: false,
+                ..EngineOptions::default()
+            },
             output: None,
             json: true,
         })
@@ -1970,10 +1907,12 @@ mod tests {
             input: graph_path.to_string_lossy().into_owned(),
             ops: ops_path.to_string_lossy().into_owned(),
             side: Side::U,
-            config: Config::default(),
-            dirty_threshold: 0.2,
-            compact_threshold: 0.25,
-            verify: true,
+            options: EngineOptions {
+                dirty_threshold: 0.2,
+                compact_threshold: 0.25,
+                verify: true,
+                ..EngineOptions::default()
+            },
             output: Some(out_path.to_string_lossy().into_owned()),
             json: true,
         })

@@ -472,3 +472,52 @@ fn stream_errors_name_the_ops_file() {
     assert!(stderr.contains("parse error on line 2"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// One client's framing mistake ends only its own connection: the socket
+/// server keeps serving the next client through to `shutdown`.
+#[test]
+fn serve_socket_survives_an_unframed_client() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    let dir = temp_dir("socket");
+    let (graph, sock) = (write_fixture(&dir), dir.join("serve.sock"));
+    let mut server = bin()
+        .args(["serve", graph.to_str().unwrap()])
+        .args(["--socket", sock.to_str().unwrap()])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut connect = || loop {
+        if let Ok(stream) = UnixStream::connect(&sock) {
+            let timeout = Some(std::time::Duration::from_secs(30));
+            stream.set_read_timeout(timeout).unwrap();
+            return stream;
+        }
+        let exited = server.try_wait().unwrap();
+        assert!(exited.is_none(), "server exited early: {exited:?}");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+
+    // Client 1 forgets the length prefix; its bad header mentions `apply`.
+    let mut c1 = connect();
+    c1.write_all(b"{\"op\": \"apply\", \"ops\": [\"+2 1\"]}\n")
+        .unwrap();
+    let mut rest = Vec::new();
+    c1.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "an unframed request gets no response");
+
+    let c2 = connect();
+    let mut reader = std::io::BufReader::new(c2.try_clone().unwrap());
+    let mut ask = |req: &str| -> receipt::report::ServeResponse {
+        receipt_cli::write_frame(&mut &c2, req).unwrap();
+        let frame = receipt_cli::read_frame(&mut reader).unwrap();
+        serde_json::from_str(&frame.expect("a response frame")).unwrap()
+    };
+    assert_eq!(ask(r#"{"op": "epoch"}"#).value, Some(0));
+    let applied = ask(r#"{"op": "apply", "ops": ["+2 1"]}"#);
+    assert!(applied.ok && applied.epoch == 1, "{applied:?}");
+    assert!(ask(r#"{"op": "shutdown"}"#).ok);
+    let status = server.wait().unwrap();
+    assert!(status.success(), "{status}");
+    std::fs::remove_dir_all(&dir).ok();
+}

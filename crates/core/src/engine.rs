@@ -16,6 +16,10 @@
 //! on a running batch, and every answer it computes from one snapshot is
 //! internally consistent with that snapshot's epoch.
 //!
+//! A batch that panics while holding the writer lock poisons it, and every
+//! later writer stops there: the panic may have left the triple
+//! half-updated, and publishing from it would serve wrong answers.
+//!
 //! [`DynamicBigraph`]: bigraph::dynamic::DynamicBigraph
 
 use crate::dynamic::{verify_against_scratch, DynamicTipState, ScratchArtifacts, TipUpdate};
@@ -24,13 +28,12 @@ use crate::Config;
 use bigraph::dynamic::EdgeOp;
 use bigraph::{BipartiteCsr, Side};
 use butterfly::{BatchDelta, DynamicButterflyIndex};
-use parking_lot::{Mutex, RwLock};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 /// Construction knobs for a [`StreamEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineOptions {
     /// Decomposition configuration used by the tip updates (partitions,
     /// heap arity, pinned thread count, HUC/DGM toggles).
@@ -180,13 +183,13 @@ impl StreamEngine {
 
     /// Epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.published.read().epoch
+        self.published.read().expect("snapshot lock poisoned").epoch
     }
 
     /// The currently published snapshot. Readers clone the `Arc` under a
     /// short read lock and then query entirely without synchronization.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
-        Arc::clone(&self.published.read())
+        Arc::clone(&self.published.read().expect("snapshot lock poisoned"))
     }
 
     /// Applies one batch through the whole triple — incremental butterfly
@@ -215,7 +218,7 @@ impl StreamEngine {
         ops: &[EdgeOp],
         durable: bool,
     ) -> Result<BatchOutcome, String> {
-        let mut guard = self.inner.lock();
+        let mut guard = self.core();
         // Reborrow through the guard so the field borrows split.
         let core = &mut *guard;
         // Append-then-apply: the record is durable (written + fsynced)
@@ -245,7 +248,7 @@ impl StreamEngine {
             (None, None)
         };
 
-        *self.published.write() = Arc::clone(&snapshot);
+        *self.published.write().expect("snapshot lock poisoned") = Arc::clone(&snapshot);
 
         // Checkpoint after publish: fold the fully applied base into a
         // fresh binary snapshot when the cadence says one is due. The
@@ -279,42 +282,40 @@ impl StreamEngine {
     /// Runs the shared differential gate against the current state,
     /// regardless of the `verify` option.
     pub fn verify_against_scratch(&self) -> Result<ScratchArtifacts, String> {
-        let core = self.inner.lock();
+        let core = self.core();
         verify_against_scratch(&core.index, &[&core.tip_u, &core.tip_v])
     }
 
     /// Cumulative compactions of the underlying overlay graph.
     pub fn compactions(&self) -> u64 {
-        self.inner.lock().index.graph().compactions()
+        self.core().index.graph().compactions()
     }
 
     /// LSN of the last committed batch, for durable engines.
     pub fn end_lsn(&self) -> Option<u64> {
-        self.inner.lock().log.as_ref().map(|log| log.end_lsn())
+        self.core().log.as_ref().map(|log| log.end_lsn())
     }
 
     /// LSN of the last checkpoint, for durable engines.
     pub fn checkpoint_lsn(&self) -> Option<u64> {
-        self.inner
-            .lock()
-            .log
-            .as_ref()
-            .map(|log| log.checkpoint_lsn())
+        self.core().log.as_ref().map(|log| log.checkpoint_lsn())
     }
 
     /// Directory of the attached durable store, for durable engines.
     /// Versioning surfaces (serve-mode `tag`/`at`) use this to reach the
     /// store's `versions.meta` next to the WAL.
     pub fn store_dir(&self) -> Option<std::path::PathBuf> {
-        self.inner
-            .lock()
-            .log
-            .as_ref()
-            .map(|log| log.dir().to_path_buf())
+        self.core().log.as_ref().map(|log| log.dir().to_path_buf())
+    }
+
+    /// The writer lock. Poisoned only by a batch that panicked mid-update;
+    /// see the module docs for why that stops every later writer.
+    fn core(&self) -> MutexGuard<'_, EngineCore> {
+        self.inner.lock().expect("engine writer lock poisoned")
     }
 
     fn attach_log(&self, log: DurableLog) {
-        self.inner.lock().log = Some(log);
+        self.core().log = Some(log);
     }
 
     /// Opens (or initializes) a durable engine over the store directory

@@ -13,8 +13,8 @@ use crate::config::Config;
 use crate::heap::IndexedMinHeap;
 use crate::TipDecomposition;
 use bigraph::{InducedGraph, RankedGraph, Side, SideGraph, VertexId};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Peels every coarse subset and assembles the final tip numbers.
@@ -88,14 +88,14 @@ pub fn fine_decompose(
                     }
                 }
                 wedges_fd.fetch_add(local_wedges, Ordering::Relaxed);
-                results.lock().append(&mut local);
+                results.lock().unwrap().append(&mut local);
             });
         }
     });
 
     let mut tip = vec![0u64; n];
     let mut assigned = vec![false; n];
-    for (u, theta) in results.into_inner() {
+    for (u, theta) in results.into_inner().unwrap() {
         debug_assert!(!assigned[u as usize], "vertex {u} peeled twice");
         assigned[u as usize] = true;
         tip[u as usize] = theta;
@@ -117,20 +117,13 @@ pub fn fine_decompose(
 /// with higher-range subsets, which the induced subgraph cannot see but
 /// which never change while `U_i` is peeled.
 ///
+/// With `dgm`, the peel also runs in-subset Dynamic Graph Maintenance:
+/// after `dgm_threshold · m_i` wedges since the previous compaction, the
+/// induced subgraph is rebuilt without the peeled vertices' edges — the
+/// same §4.2 optimization CD uses, which pays off on hub-heavy induced
+/// subgraphs.
+///
 /// Returns `(tip numbers, wedges traversed, recount invocations)`.
-pub fn peel_subset(
-    induced: &InducedGraph,
-    init_support: &[u64],
-    huc: bool,
-    heap_arity: usize,
-) -> (Vec<u64>, u64, u64) {
-    peel_subset_with_dgm(induced, init_support, huc, false, 1.0, heap_arity)
-}
-
-/// [`peel_subset`] with in-subset Dynamic Graph Maintenance: after
-/// `dgm_threshold · m_i` wedges since the previous compaction, the induced
-/// subgraph is rebuilt without the peeled vertices' edges — the same §4.2
-/// optimization CD uses, which pays off on hub-heavy induced subgraphs.
 pub fn peel_subset_with_dgm(
     induced: &InducedGraph,
     init_support: &[u64],
@@ -351,11 +344,12 @@ mod tests {
                     .iter()
                     .map(|&u| coarse.init_support[u as usize])
                     .collect();
-                let (with_huc, _, _) = peel_subset(&induced, &sup, true, 4);
-                let (without, plain_wedges, zero) = peel_subset(&induced, &sup, false, 4);
+                let (with_huc, _, _) = peel_subset_with_dgm(&induced, &sup, true, false, 1.0, 4);
+                let (without, plain_wedges, zero) =
+                    peel_subset_with_dgm(&induced, &sup, false, false, 1.0, 4);
                 assert_eq!(with_huc, without, "seed {seed}");
                 assert_eq!(zero, 0);
-                let (_, huc_wedges, _) = peel_subset(&induced, &sup, true, 4);
+                let (_, huc_wedges, _) = peel_subset_with_dgm(&induced, &sup, true, false, 1.0, 4);
                 assert!(
                     huc_wedges <= plain_wedges.max(1),
                     "HUC may only reduce FD wedges: {huc_wedges} vs {plain_wedges}"

@@ -22,10 +22,10 @@
 use crate::heap::IndexedMinHeap;
 use crate::wing::{EdgeIndex, WingDecomposition};
 use bigraph::{SideGraph, VertexId};
-use parking_lot::Mutex;
 use parutil::saturating_sub_floor;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Metrics for a parallel wing decomposition run.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -230,13 +230,13 @@ pub fn receipt_wing_decompose(
                     );
                 }
                 work_fd.fetch_add(local_work, Ordering::Relaxed);
-                results.lock().append(&mut local);
+                results.lock().unwrap().append(&mut local);
             });
         }
     });
 
     let mut wing = vec![0u64; m];
-    for (e, theta) in results.into_inner() {
+    for (e, theta) in results.into_inner().unwrap() {
         wing[e as usize] = theta;
     }
 

@@ -9,7 +9,7 @@
 //! scratch buffers that tasks check out and return; the pool grows to at
 //! most the number of concurrently running tasks (≤ pool thread count).
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// A pool of reusable `T` buffers. `acquire` pops a cached buffer or builds
 /// a fresh one; the guard returns it on drop.
@@ -31,7 +31,12 @@ impl<T> ScratchPool<T> {
 
     /// Checks out a buffer. Dropping the guard returns it to the pool.
     pub fn acquire(&self) -> ScratchGuard<'_, T> {
-        let item = self.free.lock().pop().unwrap_or_else(|| (self.make)());
+        let item = self
+            .free
+            .lock()
+            .unwrap()
+            .pop()
+            .unwrap_or_else(|| (self.make)());
         ScratchGuard {
             pool: self,
             item: Some(item),
@@ -40,7 +45,7 @@ impl<T> ScratchPool<T> {
 
     /// Number of buffers currently parked in the pool (for tests/metrics).
     pub fn idle_len(&self) -> usize {
-        self.free.lock().len()
+        self.free.lock().unwrap().len()
     }
 }
 
@@ -65,7 +70,7 @@ impl<T> std::ops::DerefMut for ScratchGuard<'_, T> {
 impl<T> Drop for ScratchGuard<'_, T> {
     fn drop(&mut self) {
         if let Some(item) = self.item.take() {
-            self.pool.free.lock().push(item);
+            self.pool.free.lock().unwrap().push(item);
         }
     }
 }
