@@ -24,11 +24,11 @@
 use crate::intersect::{
     intersect_bitset, intersect_gallop, intersect_merge, should_gallop, VertexBitset, BITSET_MIN,
 };
-use crate::VertexCounts;
 use bigraph::dynamic::{BatchApplication, DynamicBigraph, EdgeOp};
 use bigraph::{BipartiteCsr, Side, VertexId};
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A butterfly `{u, u2} × {v, v2}` touched by a batch edge `(u, v)`.
 type Butterfly = (VertexId, VertexId, VertexId, VertexId);
@@ -74,9 +74,15 @@ impl BatchDelta {
 /// indexed stores. Only edges the overlay added since the last compaction
 /// fall back to a (small, overlay-bounded) hash map; each compaction folds
 /// them into a freshly aligned array.
+///
+/// The index is the one owner of the current graph: [`Self::current`] is
+/// materialized once per batch and shared (by `Arc`) with every consumer —
+/// both tip sides, the oracle, and the published snapshot.
 #[derive(Debug, Clone)]
 pub struct DynamicButterflyIndex {
     graph: DynamicBigraph,
+    /// `graph` materialized as of the last batch.
+    current: Arc<BipartiteCsr>,
     counts_u: Vec<u64>,
     counts_v: Vec<u64>,
     /// Butterfly count per base-CSR edge, indexed by
@@ -91,8 +97,6 @@ pub struct DynamicButterflyIndex {
     /// edges in no butterfly are absent (reads default to 0).
     overlay_edge_counts: HashMap<(VertexId, VertexId), u64>,
     total: u64,
-    /// Cumulative enumeration work across all batches.
-    work: u64,
 }
 
 impl DynamicButterflyIndex {
@@ -115,8 +119,8 @@ impl DynamicButterflyIndex {
             nonzero_base: base_edge_counts.iter().filter(|&&c| c > 0).count(),
             base_edge_counts,
             overlay_edge_counts: HashMap::new(),
+            current: Arc::new(base.clone()),
             graph: DynamicBigraph::with_threshold(base, threshold),
-            work: 0,
         }
     }
 
@@ -124,9 +128,14 @@ impl DynamicButterflyIndex {
         &self.graph
     }
 
-    /// Materializes the current graph (for oracles and full recomputes).
+    /// The current graph, materialized once per batch.
+    pub fn current(&self) -> &Arc<BipartiteCsr> {
+        &self.current
+    }
+
+    /// An owned copy of [`Self::current`].
     pub fn materialize(&self) -> BipartiteCsr {
-        self.graph.materialize()
+        (*self.current).clone()
     }
 
     pub fn total_butterflies(&self) -> u64 {
@@ -138,17 +147,6 @@ impl DynamicButterflyIndex {
         match side {
             Side::U => &self.counts_u,
             Side::V => &self.counts_v,
-        }
-    }
-
-    /// Maintained counts in the static counter's shape. The
-    /// `wedges_traversed` field carries the cumulative incremental
-    /// enumeration work (initial build not included).
-    pub fn counts(&self) -> VertexCounts {
-        VertexCounts {
-            u: self.counts_u.clone(),
-            v: self.counts_v.clone(),
-            wedges_traversed: self.work,
         }
     }
 
@@ -218,13 +216,12 @@ impl DynamicButterflyIndex {
             gained += 1;
         }
         self.total = self.total + gained - lost;
-        let work = lost_work + gained_work;
-        self.work += work;
 
         if self.graph.needs_compaction() {
             self.compact_and_realign();
             application.compacted = true;
         }
+        self.current = Arc::new(self.graph.materialize());
 
         dirty_u.sort_unstable();
         dirty_u.dedup();
@@ -234,7 +231,7 @@ impl DynamicButterflyIndex {
             application,
             gained,
             lost,
-            work,
+            work: lost_work + gained_work,
             dirty_u,
             dirty_v,
         }

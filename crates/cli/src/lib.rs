@@ -9,7 +9,7 @@ use bigraph::{BipartiteCsr, Side};
 use receipt::engine::{EngineOptions, StreamEngine};
 use receipt::report::{ServeResponse, ServeSessionReport, ServeStats, TopKEntry};
 use receipt::{hierarchy, Config};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -717,10 +717,17 @@ pub fn read_frame(reader: &mut dyn BufRead) -> Result<Option<String>, String> {
     let len: usize = header.parse().map_err(|_| {
         format!("serve: frame header must be a decimal byte length, got {header:?}")
     })?;
-    let mut payload = vec![0u8; len];
-    reader
-        .read_exact(&mut payload)
+    // Grow with the bytes that arrive, never with the claimed length: a
+    // hostile header must not size an allocation.
+    let mut payload = Vec::new();
+    let got = Read::take(reader, len as u64)
+        .read_to_end(&mut payload)
         .map_err(|e| format!("serve: truncated {len}-byte frame: {e}"))?;
+    if got < len {
+        return Err(format!(
+            "serve: truncated {len}-byte frame: got {got} bytes"
+        ));
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|e| format!("serve: frame payload is not UTF-8: {e}"))
@@ -1242,8 +1249,13 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 if let Some(path) = socket {
                     // One connection at a time; the listener keeps
                     // accepting until a client sends `shutdown`.
+                    use std::os::unix::fs::FileTypeExt;
                     use std::os::unix::net::UnixListener;
-                    let _ = std::fs::remove_file(&path);
+                    // Clear only a stale socket; anything else at the path
+                    // makes `bind` fail and is left untouched.
+                    if std::fs::symlink_metadata(&path).is_ok_and(|m| m.file_type().is_socket()) {
+                        let _ = std::fs::remove_file(&path);
+                    }
                     let listener = UnixListener::bind(&path)
                         .map_err(|e| format!("cannot bind {path}: {e}"))?;
                     eprintln!("serving on {path} (epoch {})", engine.epoch());

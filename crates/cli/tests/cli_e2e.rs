@@ -473,22 +473,21 @@ fn stream_errors_name_the_ops_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One client's framing mistake ends only its own connection: the socket
-/// server keeps serving the next client through to `shutdown`.
-#[test]
-fn serve_socket_survives_an_unframed_client() {
-    use std::io::{Read, Write};
-    use std::os::unix::net::UnixStream;
-    let dir = temp_dir("socket");
-    let (graph, sock) = (write_fixture(&dir), dir.join("serve.sock"));
-    let mut server = bin()
+/// Spawns `tipdecomp serve` on the fixture graph, listening at `sock`.
+fn spawn_socket_server(graph: &Path, sock: &Path) -> std::process::Child {
+    bin()
         .args(["serve", graph.to_str().unwrap()])
         .args(["--socket", sock.to_str().unwrap()])
         .stderr(std::process::Stdio::null())
         .spawn()
-        .unwrap();
-    let mut connect = || loop {
-        if let Ok(stream) = UnixStream::connect(&sock) {
+        .unwrap()
+}
+
+/// Connects to a socket server, waiting for it to bind; a server that
+/// exits first fails the test.
+fn connect(server: &mut std::process::Child, sock: &Path) -> std::os::unix::net::UnixStream {
+    loop {
+        if let Ok(stream) = std::os::unix::net::UnixStream::connect(sock) {
             let timeout = Some(std::time::Duration::from_secs(30));
             stream.set_read_timeout(timeout).unwrap();
             return stream;
@@ -496,28 +495,101 @@ fn serve_socket_survives_an_unframed_client() {
         let exited = server.try_wait().unwrap();
         assert!(exited.is_none(), "server exited early: {exited:?}");
         std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+    }
+}
+
+/// Sends one framed request and reads its framed response.
+fn ask(
+    stream: &std::os::unix::net::UnixStream,
+    reader: &mut dyn std::io::BufRead,
+    req: &str,
+) -> receipt::report::ServeResponse {
+    receipt_cli::write_frame(&mut &*stream, req).unwrap();
+    let frame = receipt_cli::read_frame(reader).unwrap();
+    serde_json::from_str(&frame.expect("a response frame")).unwrap()
+}
+
+/// One client's framing mistake ends only its own connection: the socket
+/// server keeps serving the next client through to `shutdown`.
+#[test]
+fn serve_socket_survives_an_unframed_client() {
+    use std::io::{Read, Write};
+    let dir = temp_dir("socket");
+    let (graph, sock) = (write_fixture(&dir), dir.join("serve.sock"));
+    let mut server = spawn_socket_server(&graph, &sock);
 
     // Client 1 forgets the length prefix; its bad header mentions `apply`.
-    let mut c1 = connect();
+    let mut c1 = connect(&mut server, &sock);
     c1.write_all(b"{\"op\": \"apply\", \"ops\": [\"+2 1\"]}\n")
         .unwrap();
     let mut rest = Vec::new();
     c1.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "an unframed request gets no response");
 
-    let c2 = connect();
+    let c2 = connect(&mut server, &sock);
     let mut reader = std::io::BufReader::new(c2.try_clone().unwrap());
-    let mut ask = |req: &str| -> receipt::report::ServeResponse {
-        receipt_cli::write_frame(&mut &c2, req).unwrap();
-        let frame = receipt_cli::read_frame(&mut reader).unwrap();
-        serde_json::from_str(&frame.expect("a response frame")).unwrap()
-    };
-    assert_eq!(ask(r#"{"op": "epoch"}"#).value, Some(0));
-    let applied = ask(r#"{"op": "apply", "ops": ["+2 1"]}"#);
+    assert_eq!(ask(&c2, &mut reader, r#"{"op": "epoch"}"#).value, Some(0));
+    let applied = ask(&c2, &mut reader, r#"{"op": "apply", "ops": ["+2 1"]}"#);
     assert!(applied.ok && applied.epoch == 1, "{applied:?}");
-    assert!(ask(r#"{"op": "shutdown"}"#).ok);
+    assert!(ask(&c2, &mut reader, r#"{"op": "shutdown"}"#).ok);
     let status = server.wait().unwrap();
     assert!(status.success(), "{status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A frame header claiming a huge payload must not size an allocation:
+/// the client that sent it and hung up loses only its own connection.
+#[test]
+fn serve_socket_survives_a_huge_frame_header() {
+    use std::io::Write;
+    let dir = temp_dir("socket_huge_header");
+    let (graph, sock) = (write_fixture(&dir), dir.join("serve.sock"));
+    let mut server = spawn_socket_server(&graph, &sock);
+
+    let mut c1 = connect(&mut server, &sock);
+    c1.write_all(b"99999999999999\n").unwrap();
+    drop(c1);
+
+    let c2 = connect(&mut server, &sock);
+    let mut reader = std::io::BufReader::new(c2.try_clone().unwrap());
+    assert_eq!(ask(&c2, &mut reader, r#"{"op": "epoch"}"#).value, Some(0));
+    assert!(ask(&c2, &mut reader, r#"{"op": "shutdown"}"#).ok);
+    let status = server.wait().unwrap();
+    assert!(status.success(), "{status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--socket PATH` clears only a stale socket: a regular file at PATH
+/// fails the run (exit 1, naming the path) and keeps its bytes.
+#[test]
+fn serve_socket_refuses_to_replace_a_regular_file() {
+    let dir = temp_dir("socket_regular_file");
+    let (graph, keep) = (write_fixture(&dir), dir.join("keep.txt"));
+    // A failed earlier run may have left a socket here.
+    std::fs::remove_file(&keep).ok();
+    std::fs::write(&keep, "precious").unwrap();
+    let mut server = bin()
+        .args(["serve", graph.to_str().unwrap()])
+        .args(["--socket", keep.to_str().unwrap()])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = server.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            server.kill().ok();
+            server.wait().ok();
+            panic!("server kept running with a regular file at its socket path");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut server.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(keep.to_str().unwrap()), "{stderr}");
+    assert_eq!(std::fs::read(&keep).unwrap(), b"precious");
     std::fs::remove_dir_all(&dir).ok();
 }

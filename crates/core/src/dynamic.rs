@@ -101,21 +101,17 @@ pub struct DynamicTipState {
 
 impl DynamicTipState {
     /// Computes the initial decomposition by re-peeling with the index's
-    /// already-maintained counts (no recount needed).
-    pub fn new(index: &DynamicButterflyIndex, side: Side, config: Config) -> Self {
-        Self::with_threshold(index, side, config, DEFAULT_DIRTY_THRESHOLD)
-    }
-
-    /// `dirty_threshold` is the dirty fraction beyond which a batch falls
-    /// back to the full CD + FD recompute.
+    /// already-maintained counts (no recount needed). `dirty_threshold` is
+    /// the dirty fraction beyond which a batch falls back to the full
+    /// CD + FD recompute.
     pub fn with_threshold(
         index: &DynamicButterflyIndex,
         side: Side,
         config: Config,
         dirty_threshold: f64,
     ) -> Self {
-        let g = index.materialize();
-        let (tip, _) = peel_all(g.view(side), index.counts_side(side), config.heap_arity);
+        let g = index.current().view(side);
+        let (tip, _) = peel_all(g, index.counts_side(side), config.heap_arity);
         DynamicTipState {
             side,
             config,
@@ -157,13 +153,12 @@ impl DynamicTipState {
         let (policy, wedges) = if dirty == 0 {
             (UpdatePolicy::Unchanged, 0)
         } else if dirty_fraction > self.dirty_threshold {
-            let d = crate::tip_decompose(&index.materialize(), self.side, &self.config);
+            let d = crate::tip_decompose(index.current(), self.side, &self.config);
             self.tip = d.tip;
             (UpdatePolicy::FullRecompute, d.metrics.wedges_total())
         } else {
-            let g = index.materialize();
             let (tip, wedges) = peel_all(
-                g.view(self.side),
+                index.current().view(self.side),
                 index.counts_side(self.side),
                 self.config.heap_arity,
             );
@@ -205,8 +200,8 @@ pub fn verify_against_scratch(
     index: &butterfly::DynamicButterflyIndex,
     states: &[&DynamicTipState],
 ) -> Result<ScratchArtifacts, String> {
-    let g = index.materialize();
-    let fresh = butterfly::par_count_graph(&g);
+    let g = index.current();
+    let fresh = butterfly::par_count_graph(g);
     if index.counts_side(Side::U) != &fresh.u[..] {
         return Err("incremental U-side butterfly counts diverged from recount".into());
     }
@@ -238,7 +233,7 @@ pub fn verify_against_scratch(
     }
     let mut peel_wedges = 0;
     for state in states {
-        let oracle = crate::bup::bup_decompose(&g, state.side(), 4);
+        let oracle = crate::bup::bup_decompose(g, state.side(), 4);
         if state.tip() != &oracle.tip[..] {
             return Err(format!(
                 "incremental {} tip numbers diverged from BUP",
@@ -282,7 +277,12 @@ mod tests {
     fn initial_state_matches_bup() {
         let g = gen::planted_bicliques(20, 20, 2, 4, 4, 30, 3);
         let index = DynamicButterflyIndex::new(g);
-        let state = DynamicTipState::new(&index, Side::U, Config::default());
+        let state = DynamicTipState::with_threshold(
+            &index,
+            Side::U,
+            Config::default(),
+            DEFAULT_DIRTY_THRESHOLD,
+        );
         assert_eq!(state.tip(), &oracle_tips(&index, Side::U)[..]);
     }
 
@@ -290,7 +290,12 @@ mod tests {
     fn butterfly_free_batch_is_unchanged() {
         let g = from_edges(3, 3, &[(0, 0), (0, 1), (1, 0), (1, 1)]).unwrap();
         let mut index = DynamicButterflyIndex::new(g);
-        let mut state = DynamicTipState::new(&index, Side::U, Config::default());
+        let mut state = DynamicTipState::with_threshold(
+            &index,
+            Side::U,
+            Config::default(),
+            DEFAULT_DIRTY_THRESHOLD,
+        );
         // A pendant edge on a fresh vertex closes no butterfly.
         let delta = index.apply_batch(&[EdgeOp::Insert(4, 2)]);
         let update = state.update(&index, &delta);

@@ -7,7 +7,8 @@
 //! behind a single `apply_batch` entry point and, after every batch,
 //! publishes an immutable [`EngineSnapshot`] — compacted adjacency,
 //! per-vertex and per-edge butterfly counts, both sides' tip numbers —
-//! stamped with a monotonically increasing epoch.
+//! stamped with a monotonically increasing epoch. Committed history
+//! (recovery, time travel) is reached through [`StreamEngine::replay`].
 //!
 //! The publication discipline is the Polynesia-style update/read split:
 //! writers serialize on a `Mutex` around the mutable triple; the snapshot
@@ -23,7 +24,7 @@
 //! [`DynamicBigraph`]: bigraph::dynamic::DynamicBigraph
 
 use crate::dynamic::{verify_against_scratch, DynamicTipState, ScratchArtifacts, TipUpdate};
-use crate::wal::{DurableLog, Store, TailRepair};
+use crate::wal::{DurableLog, Store, TailRepair, WalRecord};
 use crate::Config;
 use bigraph::dynamic::EdgeOp;
 use bigraph::{BipartiteCsr, Side};
@@ -117,7 +118,7 @@ struct EngineCore {
 
 impl EngineCore {
     fn snapshot(&self) -> EngineSnapshot {
-        let graph = self.index.materialize();
+        let graph = Arc::clone(self.index.current());
         let edge_counts = graph
             .edges()
             .map(|(u, v)| self.index.edge_count(u, v))
@@ -146,26 +147,61 @@ pub struct StreamEngine {
 
 impl StreamEngine {
     /// Builds the triple from a loaded graph (one full parallel count +
-    /// both sides' initial peels) and publishes the epoch-0 snapshot.
+    /// both sides' initial peels) and publishes the epoch-0 snapshot —
+    /// the zero-record case of [`Self::replay`].
     pub fn new(graph: BipartiteCsr, options: EngineOptions) -> Self {
         let index = DynamicButterflyIndex::with_threshold(graph, options.compact_threshold);
-        let tip_u = DynamicTipState::with_threshold(
-            &index,
-            Side::U,
-            options.config.clone(),
-            options.dirty_threshold,
-        );
-        let tip_v = DynamicTipState::with_threshold(
-            &index,
-            Side::V,
-            options.config.clone(),
-            options.dirty_threshold,
-        );
+        Self::publish_at(index, 0, options)
+    }
+
+    /// Reaches the state after the committed `records` without re-peeling
+    /// per record: each record goes to the butterfly index only, then both
+    /// tip sides peel once from the final counts and one snapshot is
+    /// published at epoch `records.len()`. Tip numbers are a function of
+    /// the graph alone, so this lands on exactly the state the live batch
+    /// path reaches through every intermediate refresh.
+    ///
+    /// With `verify` on, the index is checked against the from-scratch
+    /// oracles after every record, and the whole state (counts, per-edge
+    /// counts, both sides' tips) once at the end.
+    pub fn replay(
+        graph: BipartiteCsr,
+        records: &[WalRecord],
+        options: EngineOptions,
+    ) -> Result<Self, String> {
+        let mut index = DynamicButterflyIndex::with_threshold(graph, options.compact_threshold);
+        for record in records {
+            index.apply_batch(&record.ops);
+            if options.verify {
+                verify_against_scratch(&index, &[])
+                    .map_err(|e| format!("replaying lsn {}: {e}", record.lsn))?;
+            }
+        }
+        let engine = Self::publish_at(index, records.len() as u64, options);
+        if engine.options.verify {
+            engine
+                .verify_against_scratch()
+                .map_err(|e| format!("epoch {}: {e}", engine.epoch()))?;
+        }
+        Ok(engine)
+    }
+
+    /// Peels both tip sides from `index` and publishes its snapshot as
+    /// `epoch`.
+    fn publish_at(index: DynamicButterflyIndex, epoch: u64, options: EngineOptions) -> Self {
+        let tip = |side| {
+            DynamicTipState::with_threshold(
+                &index,
+                side,
+                options.config.clone(),
+                options.dirty_threshold,
+            )
+        };
         let core = EngineCore {
+            tip_u: tip(Side::U),
+            tip_v: tip(Side::V),
             index,
-            tip_u,
-            tip_v,
-            epoch: 0,
+            epoch,
             log: None,
         };
         let snapshot = Arc::new(core.snapshot());
@@ -207,30 +243,18 @@ impl StreamEngine {
     /// [`BatchOutcome::checkpoint_error`] and the fold is retried at the
     /// next due boundary.
     pub fn apply_batch(&self, ops: &[EdgeOp]) -> Result<BatchOutcome, String> {
-        self.apply_batch_inner(ops, true)
-    }
-
-    /// The shared batch path. With `durable` off the WAL is bypassed —
-    /// used by recovery and time travel (`receipt::version`) to re-apply
-    /// records that are already committed.
-    pub(crate) fn apply_batch_inner(
-        &self,
-        ops: &[EdgeOp],
-        durable: bool,
-    ) -> Result<BatchOutcome, String> {
         let mut guard = self.core();
         // Reborrow through the guard so the field borrows split.
         let core = &mut *guard;
         // Append-then-apply: the record is durable (written + fsynced)
         // before any in-memory state moves, so the WAL is never behind
         // the published state.
-        let lsn = match (durable, core.log.as_mut()) {
-            (true, Some(log)) => Some(
-                log.append(ops)
-                    .map_err(|e| format!("wal append failed: {e}"))?,
-            ),
-            _ => None,
-        };
+        let lsn = core
+            .log
+            .as_mut()
+            .map(|log| log.append(ops))
+            .transpose()
+            .map_err(|e| format!("wal append failed: {e}"))?;
         let t0 = Instant::now();
         let delta = core.index.apply_batch(ops);
         let update_u = core.tip_u.update(&core.index, &delta);
@@ -286,11 +310,6 @@ impl StreamEngine {
         verify_against_scratch(&core.index, &[&core.tip_u, &core.tip_v])
     }
 
-    /// Cumulative compactions of the underlying overlay graph.
-    pub fn compactions(&self) -> u64 {
-        self.core().index.graph().compactions()
-    }
-
     /// LSN of the last committed batch, for durable engines.
     pub fn end_lsn(&self) -> Option<u64> {
         self.core().log.as_ref().map(|log| log.end_lsn())
@@ -325,8 +344,8 @@ impl StreamEngine {
     ///   error if `None`) — snapshot at LSN 0, empty WAL.
     /// * Existing store: the base snapshot is loaded, the WAL is
     ///   recovered (torn tail repaired and reported), and every committed
-    ///   record past the checkpoint is replayed through the full triple
-    ///   before the engine is handed back. `init_graph` is ignored — the
+    ///   record past the checkpoint is replayed ([`Self::replay`]) before
+    ///   the engine is handed back. `init_graph` is ignored — the
     ///   store is the durable truth.
     ///
     /// Subsequent [`Self::apply_batch`] calls append to the WAL before
@@ -362,12 +381,7 @@ impl StreamEngine {
             ));
         }
         let rec = Store::recover(dir).map_err(|e| e.to_string())?;
-        let engine = StreamEngine::new(rec.graph, options);
-        for record in &rec.batches {
-            engine
-                .apply_batch_inner(&record.ops, false)
-                .map_err(|e| format!("replaying lsn {}: {e}", record.lsn))?;
-        }
+        let engine = StreamEngine::replay(rec.graph, &rec.batches, options)?;
         let info = RecoveryInfo {
             created: false,
             checkpoint_lsn: rec.checkpoint_lsn,

@@ -13,6 +13,7 @@
 //! [`StreamEngine`]: crate::engine::StreamEngine
 
 use bigraph::{BipartiteCsr, Side, VertexId};
+use std::sync::Arc;
 
 /// A vertex of a top-k densest query: ranked by tip number, ties broken by
 /// butterfly count then ascending id, so the ordering is deterministic.
@@ -31,7 +32,8 @@ pub struct DenseVertex {
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     pub(crate) epoch: u64,
-    pub(crate) graph: BipartiteCsr,
+    /// Shared with the engine's butterfly index, which materialized it.
+    pub(crate) graph: Arc<BipartiteCsr>,
     pub(crate) counts_u: Vec<u64>,
     pub(crate) counts_v: Vec<u64>,
     /// Per-edge butterfly counts aligned with `graph`'s CSR edge ids

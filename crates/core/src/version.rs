@@ -11,7 +11,7 @@
 //! * [`VersionStore::diff`] materializes the net [`EdgeOp`] batch
 //!   between two versions by scanning the WAL interval (§5);
 //! * [`StreamEngine::open_at`] replays from the checkpoint to a tagged
-//!   LSN through the normal batch path and publishes the state behind
+//!   LSN ([`StreamEngine::replay`]) and publishes the state behind
 //!   the usual lock-free snapshot surface (§4);
 //! * the derive operators (`bigraph::derive`, `tipdecomp derive`)
 //!   build new graphs from the materialized time-travel states (§6).
@@ -531,8 +531,8 @@ impl VersionStore {
 
 /// Tags the store's current end state (`VERSIONING.md` §3.2) from the
 /// outside: opens the store strictly (a torn WAL tail is an error here —
-/// run recovery first, then tag), replays every committed record through
-/// the normal batch path to materialize the head state, and appends the
+/// run recovery first, then tag), replays every committed record
+/// ([`StreamEngine::replay`]) to reach the head state, and appends the
 /// tag at `wal_end` with that state's checksums. Returns the created ref.
 ///
 /// This is what `tipdecomp version tag` runs. A live engine tags its own
@@ -552,17 +552,19 @@ pub fn tag_head(
     }
     let rec = Store::open(dir)?;
     let wal_end = rec.wal.end_lsn();
-    let engine = StreamEngine::new(rec.graph, options);
-    for record in &rec.batches {
-        engine
-            .apply_batch_inner(&record.ops, false)
-            .map_err(|e| VersionError::Corrupt {
-                path: Store::wal_path(dir).display().to_string(),
-                what: format!("replaying committed lsn {}: {e}", record.lsn),
-            })?;
+    let engine = StreamEngine::replay(rec.graph, &rec.batches, options)
+        .map_err(|what| replay_error(dir, what))?;
+    versions
+        .tag_snapshot(name, wal_end, &engine.snapshot())
+        .cloned()
+}
+
+/// A verified replay of committed records diverged from the oracles.
+fn replay_error(dir: &Path, what: String) -> VersionError {
+    VersionError::Corrupt {
+        path: Store::wal_path(dir).display().to_string(),
+        what,
     }
-    let snapshot = engine.snapshot();
-    versions.tag_snapshot(name, wal_end, &snapshot).cloned()
 }
 
 /// What [`StreamEngine::open_at`] found and replayed.
@@ -587,7 +589,7 @@ pub struct TimeTravelInfo {
 impl StreamEngine {
     /// Time travel (VERSIONING.md §4): opens the store at `dir`
     /// read-only, replays from the checkpoint snapshot to the LSN
-    /// tagged `name` through the normal batch path, verifies the
+    /// tagged `name` ([`StreamEngine::replay`]), verifies the
     /// reached state against the [`VersionRef`]'s checksums, and
     /// publishes it as an ordinary read-only [`EngineSnapshot`].
     ///
@@ -619,22 +621,10 @@ impl StreamEngine {
                 checkpoint_lsn: rec.checkpoint_lsn,
             });
         }
-        let engine = StreamEngine::new(rec.graph, options);
-        let mut replayed = 0;
-        let mut skipped_above = 0;
-        for record in &rec.batches {
-            if record.lsn > vref.lsn {
-                skipped_above += 1;
-                continue;
-            }
-            engine
-                .apply_batch_inner(&record.ops, false)
-                .map_err(|e| VersionError::Corrupt {
-                    path: Store::wal_path(dir).display().to_string(),
-                    what: format!("replaying committed lsn {}: {e}", record.lsn),
-                })?;
-            replayed += 1;
-        }
+        // Records are in LSN order: the tag's prefix is one slice.
+        let replayed = rec.batches.partition_point(|r| r.lsn <= vref.lsn);
+        let engine = StreamEngine::replay(rec.graph, &rec.batches[..replayed], options)
+            .map_err(|what| replay_error(dir, what))?;
         let snapshot = engine.snapshot();
         let mismatch = |what: String| VersionError::StateMismatch {
             name: vref.name.clone(),
@@ -664,7 +654,7 @@ impl StreamEngine {
             wal_records: rec.skipped + rec.batches.len(),
             replayed,
             skipped_folded: rec.skipped,
-            skipped_above,
+            skipped_above: rec.batches.len() - replayed,
             wal_end,
         };
         Ok((engine, info))

@@ -7,6 +7,7 @@ use bigraph::binfmt::{self, BinError};
 use bigraph::{gen, BipartiteCsr};
 use receipt::dynamic::fnv1a_u64;
 use receipt::engine::{EngineOptions, StreamEngine};
+use receipt::version::VersionStore;
 use receipt::wal::{Store, StoreError, Wal, WalError, CKP_MAGIC, CKP_VERSION, ENDIAN_TAG};
 use receipt::Config;
 use std::path::{Path, PathBuf};
@@ -106,6 +107,40 @@ fn crash_matrix_recovers_every_batch_boundary() {
         assert_eq!(state_of(&engine), states[boundary - 1]);
         engine.verify_against_scratch().unwrap();
     }
+}
+
+/// Replay with `verify` on checks the index after every record and the
+/// whole state at the end; recovery and time travel to every boundary
+/// must pass those checks and land on the reference trajectory.
+#[test]
+fn verified_replay_reaches_the_reference_trajectory() {
+    let g = gen::zipf(40, 30, 160, 0.5, 0.9, 23);
+    let batches = bigraph::dynamic::seeded_schedule(&g, 4, 30, 29);
+    let dir = scratch("verified_replay");
+    let states = build_reference(&dir, &g, &batches);
+    let mut versions = VersionStore::open(&dir).unwrap();
+    for (lsn, &(total, tip_u, tip_v)) in states.iter().enumerate() {
+        let name = format!("b{lsn}");
+        versions
+            .tag(&name, lsn as u64, total, tip_u, tip_v)
+            .unwrap();
+    }
+    let verified = EngineOptions {
+        verify: true,
+        ..options()
+    };
+    for (lsn, state) in states.iter().enumerate() {
+        let (engine, info) =
+            StreamEngine::open_at(&dir, &format!("b{lsn}"), verified.clone()).unwrap();
+        assert_eq!(info.replayed, lsn);
+        assert_eq!(info.skipped_above, batches.len() - lsn);
+        assert_eq!(engine.epoch(), lsn as u64);
+        assert_eq!(state_of(&engine), *state, "time travel to lsn {lsn}");
+    }
+    let (engine, info) = StreamEngine::open_durable(&dir, None, verified, 0).unwrap();
+    assert_eq!(info.replayed, batches.len());
+    assert_eq!(engine.epoch(), batches.len() as u64);
+    assert_eq!(state_of(&engine), states[batches.len()]);
 }
 
 #[test]
