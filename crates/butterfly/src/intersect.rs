@@ -173,6 +173,10 @@ impl VertexBitset {
         self.words[v as usize / 64] |= 1u64 << (v % 64);
     }
 
+    pub fn remove(&mut self, v: VertexId) {
+        self.words[v as usize / 64] &= !(1u64 << (v % 64));
+    }
+
     pub fn contains(&self, v: VertexId) -> bool {
         let i = v as usize / 64;
         self.words.get(i).is_some_and(|w| w >> (v % 64) & 1 == 1)
@@ -288,5 +292,14 @@ mod tests {
         assert!(bits.contains(1) && bits.contains(9));
         assert!(!bits.contains(0) && !bits.contains(8));
         assert!(!bits.contains(64), "past the allocated words");
+    }
+
+    #[test]
+    fn bitset_remove_clears_only_its_bit() {
+        let mut bits = VertexBitset::from_iter(130, [0, 63, 64, 129].into_iter());
+        bits.remove(63);
+        bits.remove(5); // absent: no-op
+        assert!(!bits.contains(63) && !bits.contains(5));
+        assert!(bits.contains(0) && bits.contains(64) && bits.contains(129));
     }
 }

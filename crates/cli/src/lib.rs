@@ -283,12 +283,21 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 .map_err(|_| UsageError(format!("{name} expects an integer, got {s:?}"))),
         }
     };
-    let opt_f64 = |name: &str, default: f64| -> Result<f64, UsageError> {
+    // Both threshold flags are fractions the engine compares against: a
+    // NaN makes every comparison false and silently disables the
+    // full-recompute fallback or the overlay compaction.
+    let opt_fraction = |name: &str, default: f64| -> Result<f64, UsageError> {
         match opt(name) {
             None => Ok(default),
             Some(s) => s
                 .parse()
-                .map_err(|_| UsageError(format!("{name} expects a number, got {s:?}"))),
+                .ok()
+                .filter(|x: &f64| x.is_finite() && *x >= 0.0)
+                .ok_or_else(|| {
+                    UsageError(format!(
+                        "{name} expects a finite non-negative number, got {s:?}"
+                    ))
+                }),
         }
     };
     let side = match opt("--side").map(|s| s.to_ascii_uppercase()) {
@@ -310,8 +319,8 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         let defaults = EngineOptions::default();
         Ok(EngineOptions {
             config: config()?,
-            dirty_threshold: opt_f64("--dirty-threshold", defaults.dirty_threshold)?,
-            compact_threshold: opt_f64("--compact-threshold", defaults.compact_threshold)?,
+            dirty_threshold: opt_fraction("--dirty-threshold", defaults.dirty_threshold)?,
+            compact_threshold: opt_fraction("--compact-threshold", defaults.compact_threshold)?,
             verify: flag("--verify"),
         })
     };
@@ -1803,6 +1812,24 @@ mod tests {
             "x"
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn thresholds_reject_non_finite_and_negative_values() {
+        for flag in ["--dirty-threshold", "--compact-threshold"] {
+            for bad in ["NaN", "inf", "-inf", "-0.1"] {
+                for cmd in [
+                    vec!["stream", "g.tsv", "ops.txt", flag, bad],
+                    vec!["serve", "g.tsv", flag, bad],
+                ] {
+                    let err = parse(&sv(&cmd)).unwrap_err();
+                    assert!(err.0.contains(flag), "{cmd:?}: {}", err.0);
+                }
+            }
+            for good in ["0", "0.25", "1"] {
+                assert!(parse(&sv(&["stream", "g.tsv", "ops.txt", flag, good])).is_ok());
+            }
+        }
     }
 
     #[test]

@@ -14,13 +14,18 @@
 //!   butterfly) is small: re-peel the materialized graph seeded with the
 //!   incrementally maintained butterfly counts, skipping the counting
 //!   phase entirely — the dominant cost the paper's `∧_pvBcnt` column
-//!   measures.
+//!   measures. The re-peel (and the initial peel in
+//!   [`DynamicTipState::with_threshold`]) is
+//!   [`crate::peel::seeded_peel`]: BUP's pop order and decrements on a
+//!   live copy of the graph that drops peeled vertices from each list it
+//!   scans and answers a peel's heaviest hub list by bitset membership.
+//!   Its tips are BUP's; its work is at most BUP's wedge count.
 //! * **`FullRecompute`** — the dirty fraction crossed the threshold: the
 //!   maintained counts no longer buy much, so fall back to the full
 //!   parallel [`crate::tip_decompose`] (CD + FD) on the materialized
 //!   graph.
 
-use crate::bup::peel_all;
+use crate::peel::seeded_peel;
 use crate::Config;
 use bigraph::Side;
 use butterfly::{BatchDelta, DynamicButterflyIndex};
@@ -84,7 +89,11 @@ pub struct TipUpdate {
     pub dirty: usize,
     /// `dirty / |primary side|`.
     pub dirty_fraction: f64,
-    /// Wedges traversed by the update (0 under `Unchanged`).
+    /// Work of the update, 0 under `Unchanged`. Under `SeededRepeel`:
+    /// [`crate::peel::seeded_peel`]'s adjacency entries visited plus
+    /// bitset membership tests (at most BUP's wedge count). Under
+    /// `FullRecompute`: the pipeline's [`crate::Metrics::wedges_total`]
+    /// (counting + CD + FD wedges).
     pub wedges: u64,
     /// Wall-clock time of the update.
     pub time: Duration,
@@ -111,7 +120,7 @@ impl DynamicTipState {
         dirty_threshold: f64,
     ) -> Self {
         let g = index.current().view(side);
-        let (tip, _) = peel_all(g, index.counts_side(side), config.heap_arity);
+        let (tip, _) = seeded_peel(g, index.counts_side(side), config.heap_arity);
         DynamicTipState {
             side,
             config,
@@ -157,7 +166,7 @@ impl DynamicTipState {
             self.tip = d.tip;
             (UpdatePolicy::FullRecompute, d.metrics.wedges_total())
         } else {
-            let (tip, wedges) = peel_all(
+            let (tip, wedges) = seeded_peel(
                 index.current().view(self.side),
                 index.counts_side(self.side),
                 self.config.heap_arity,

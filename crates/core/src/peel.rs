@@ -1,10 +1,13 @@
-//! The parallel peel/update machinery shared by RECEIPT CD and ParB:
+//! The peel/update machinery shared by RECEIPT CD and ParB:
 //! wedge-aggregation scratch, the `update()` routine of Algorithm 2, and
 //! [`PeelGraph`] — the live-graph wrapper that implements Dynamic Graph
-//! Maintenance (§4.2).
+//! Maintenance (§4.2) — plus [`seeded_peel`], the sequential live-graph
+//! peel behind the dynamic engine's tip refresh.
 
+use crate::heap::IndexedMinHeap;
 use crate::support::SupportVec;
 use bigraph::{BipartiteCsr, RankedGraph, Side, SideGraph, VertexId};
+use butterfly::intersect::VertexBitset;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Neighbour access used by wedge traversal. Implemented by [`SideGraph`]
@@ -292,6 +295,162 @@ impl WedgeAccess for PeelGraph {
     }
 }
 
+/// Sequential bottom-up peel seeded with known butterfly counts. It
+/// computes the tips of [`crate::bup::peel_all`] (same heap, same pop
+/// order, same clamped decrements) while visiting far fewer wedges. Two
+/// changes to BUP's inner loop:
+///
+/// * **In-place DGM** (§4.2, applied eagerly). The kernel keeps a private
+///   copy of the secondary adjacency. Scanning a list compacts it: entries
+///   of peeled vertices are dropped as they are met, so a dead entry is
+///   visited at most once and no `O(m)` rebuild ever runs.
+/// * **Hub-bitset skip.** Every secondary list of at least `2·⌈n/64⌉`
+///   entries (the `n/32` rule rounded to whole words, so a bitset is never
+///   larger than the list it shadows) also gets a bitset of its live
+///   members. When `u` is peeled, its heaviest such list is not scanned;
+///   its contribution is added by one membership test per 2-hop
+///   neighbour the other lists touched. This is exact: a neighbour that
+///   shares `c ≥ 2` secondaries with `u` shares one outside the skipped
+///   list, so it is touched, and one that shares only the skipped list
+///   has `c = 1` and loses `C(1, 2) = 0` butterflies. When the other
+///   lists touched at least as many vertices as the skipped list would
+///   visit, the list is scanned after all.
+///
+/// Returns `(tip numbers, work)`. Work counts one unit per list entry
+/// visited (live wedges plus the dead entries dropped on the way) and one
+/// per bitset membership test. For every peeled vertex that is at most
+/// the wedges `peel_all` traverses for it, so the total never exceeds
+/// `peel_all`'s wedge count.
+pub fn seeded_peel(
+    view: SideGraph<'_>,
+    init_support: &[u64],
+    heap_arity: usize,
+) -> (Vec<u64>, u64) {
+    let n = view.num_primary();
+    debug_assert_eq!(n, init_support.len());
+    let mut lists = LiveLists::new(view);
+    let hub_min = 2 * n.div_ceil(64).max(1);
+    let mut hubs: Vec<Option<VertexBitset>> = (0..view.num_secondary() as VertexId)
+        .map(|s| {
+            let members = view.neighbors_secondary(s);
+            (members.len() >= hub_min).then(|| VertexBitset::from_iter(n, members.iter().copied()))
+        })
+        .collect();
+
+    let mut heap = IndexedMinHeap::new(heap_arity, init_support);
+    let mut tip = vec![0u64; n];
+    let mut cnt = vec![0u32; n];
+    let mut touched: Vec<VertexId> = Vec::new();
+    let mut work = 0u64;
+    while let Some((u, theta)) = heap.pop_min() {
+        tip[u as usize] = theta;
+        let nbrs = view.neighbors_primary(u);
+        let mut skip: Option<usize> = None;
+        for &s in nbrs {
+            let s = s as usize;
+            if let Some(bits) = &mut hubs[s] {
+                // Each bitset mirrors its live list, so a membership hit
+                // always names an unpeeled vertex.
+                bits.remove(u);
+                if skip.is_none_or(|k| lists.len[s] > lists.len[k]) {
+                    skip = Some(s);
+                }
+            }
+        }
+        for &s in nbrs {
+            if Some(s as usize) != skip {
+                work += lists.scan(s as usize, &heap, &mut cnt, &mut touched);
+            }
+        }
+        if let Some(s) = skip {
+            // `u` is still stored in the list, so a scan would visit
+            // `len - 1` other entries.
+            match &hubs[s] {
+                Some(bits) if touched.len() < lists.len[s] as usize - 1 => {
+                    work += touched.len() as u64;
+                    for &u2 in &touched {
+                        if bits.contains(u2) {
+                            cnt[u2 as usize] += 1;
+                        }
+                    }
+                }
+                _ => work += lists.scan(s, &heap, &mut cnt, &mut touched),
+            }
+        }
+        // `touched` is in another order than in `peel_all`, but the heap
+        // orders by (key, id), so the pop sequence and tips are the same.
+        for &u2 in &touched {
+            let c = cnt[u2 as usize] as u64;
+            cnt[u2 as usize] = 0;
+            if c >= 2 {
+                if let Some(cur) = heap.key(u2) {
+                    heap.decrease_key(u2, cur.saturating_sub(c * (c - 1) / 2).max(theta));
+                }
+            }
+        }
+        touched.clear();
+    }
+    (tip, work)
+}
+
+/// The secondary adjacency of [`seeded_peel`]'s live graph: list `s` is
+/// `adj[start[s]..][..len[s]]`, and `len[s]` shrinks as scans drop the
+/// entries of peeled vertices.
+struct LiveLists {
+    start: Vec<usize>,
+    len: Vec<u32>,
+    adj: Vec<VertexId>,
+}
+
+impl LiveLists {
+    fn new(view: SideGraph<'_>) -> Self {
+        let ns = view.num_secondary();
+        let mut lists = LiveLists {
+            start: Vec::with_capacity(ns),
+            len: Vec::with_capacity(ns),
+            adj: Vec::with_capacity(view.num_edges()),
+        };
+        for s in 0..ns as VertexId {
+            let members = view.neighbors_secondary(s);
+            lists.start.push(lists.adj.len());
+            lists.len.push(members.len() as u32);
+            lists.adj.extend_from_slice(members);
+        }
+        lists
+    }
+
+    /// Counts every live entry of list `s` into `cnt`/`touched` and drops
+    /// the entries of peeled vertices in place. The vertex being peeled
+    /// is already out of the heap, so its own entry is dropped too; it is
+    /// the one visit not counted in the returned work.
+    fn scan(
+        &mut self,
+        s: usize,
+        heap: &IndexedMinHeap,
+        cnt: &mut [u32],
+        touched: &mut Vec<VertexId>,
+    ) -> u64 {
+        let visited = self.len[s] as usize;
+        let list = &mut self.adj[self.start[s]..][..visited];
+        let mut kept = 0;
+        for i in 0..visited {
+            let x = list[i];
+            if !heap.contains(x) {
+                continue;
+            }
+            list[kept] = x;
+            kept += 1;
+            let c = &mut cnt[x as usize];
+            if *c == 0 {
+                touched.push(x);
+            }
+            *c += 1;
+        }
+        self.len[s] = kept as u32;
+        visited as u64 - 1
+    }
+}
+
 /// Shared atomic wedge counter used by the parallel peeling loops.
 #[derive(Debug, Default)]
 pub struct WedgeCounter(AtomicU64);
@@ -450,5 +609,89 @@ mod tests {
         let fresh = butterfly::count_graph(&fresh_csr);
         assert_eq!(stale.u, fresh.u);
         assert_eq!(stale.v, fresh.v);
+    }
+
+    /// Every primary sits on hub secondary 0 and on the private
+    /// secondary of its triple, so it shares one butterfly with each of
+    /// its two triple mates and none with anyone else.
+    fn hub_with_triples(n: u32) -> BipartiteCsr {
+        let edges: Vec<(u32, u32)> = (0..n).flat_map(|u| [(u, 0), (u, 1 + u / 3)]).collect();
+        from_edges(n as usize, 1 + n.div_ceil(3) as usize, &edges).unwrap()
+    }
+
+    /// Star-heavy: one hub plus a few private leaves.
+    fn star_heavy() -> BipartiteCsr {
+        let mut edges = Vec::new();
+        for u in 0..40u32 {
+            edges.push((u, 0));
+            edges.push((u, 1 + u % 7));
+        }
+        for u in 0..8u32 {
+            edges.push((u, 8 + u));
+        }
+        from_edges(40, 16, &edges).unwrap()
+    }
+
+    #[test]
+    fn seeded_peel_matches_bup_on_both_sides() {
+        use bigraph::gen;
+        let graphs = [
+            ("uniform", gen::uniform(60, 50, 400, 1)),
+            ("zipf", gen::zipf(90, 30, 450, 0.3, 1.2, 3)),
+            ("bicliques", gen::planted_bicliques(48, 48, 4, 5, 5, 120, 4)),
+            ("star-heavy", star_heavy()),
+            ("hub-triples", hub_with_triples(96)),
+            ("empty", BipartiteCsr::empty(3, 4)),
+            // U vertices 3.. and V vertices 2.. are isolated.
+            (
+                "isolated",
+                from_edges(12, 9, &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)]).unwrap(),
+            ),
+        ];
+        for (name, g) in graphs {
+            let counts = butterfly::count_graph(&g);
+            for side in [Side::U, Side::V] {
+                let view = g.view(side);
+                let (want, bup_wedges) = crate::bup::peel_all(view, counts.side(side), 4);
+                let (got, work) = seeded_peel(view, counts.side(side), 4);
+                assert_eq!(got, want, "{name} side {side}");
+                assert!(
+                    work <= bup_wedges,
+                    "{name} side {side}: {work} > {bup_wedges}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hub_skip_replaces_the_hub_scan() {
+        let g = hub_with_triples(96);
+        let counts = butterfly::count_graph(&g);
+        let view = g.view(Side::U);
+        let (want, bup_wedges) = crate::bup::peel_all(view, &counts.u, 4);
+        let (got, work) = seeded_peel(view, &counts.u, 4);
+        assert_eq!(got, want);
+        assert!(got.iter().all(|&t| t == 2), "{got:?}");
+        // Each peel scans its triple list (≤ 2 other entries) and tests
+        // ≤ 2 hub memberships; walking the hub list instead would cost
+        // Θ(n) per peel even with every dead entry dropped.
+        assert!(work <= 4 * 96, "work {work}");
+        assert!(bup_wedges > 96 * 95);
+    }
+
+    #[test]
+    fn seeded_peel_compacts_dead_entries() {
+        // K(3,3): BUP walks 3 × 2 wedges per peel (18). The live lists
+        // shrink instead: the first peel visits 2 entries per list (6),
+        // the second 1 per list after dropping the dead one (3), the last
+        // none (0). The bitset skip never pays here: the other lists
+        // touch every live vertex.
+        let g = k33();
+        let counts = butterfly::count_graph(&g);
+        let (want, bup_wedges) = crate::bup::peel_all(g.view(Side::U), &counts.u, 4);
+        let (got, work) = seeded_peel(g.view(Side::U), &counts.u, 4);
+        assert_eq!(got, want);
+        assert_eq!(bup_wedges, 18);
+        assert_eq!(work, 9);
     }
 }

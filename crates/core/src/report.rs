@@ -179,7 +179,10 @@ pub struct StreamBatchReport {
     /// Peel-side vertices on a changed butterfly.
     pub dirty: usize,
     pub dirty_fraction: f64,
-    /// Wedges traversed by the tip update.
+    /// Work of the tip update ([`crate::dynamic::TipUpdate::wedges`]):
+    /// adjacency entries visited plus bitset membership tests for
+    /// `seeded-repeel`, counting + CD + FD wedges for `full-recompute`, 0 for
+    /// `unchanged`.
     pub peel_wedges: u64,
     pub theta_max: u64,
     /// FNV-1a digest of the tip numbers after this batch.

@@ -1,8 +1,10 @@
 //! Cross-algorithm equivalence: Theorem 2 of the paper says RECEIPT
 //! computes exactly the tip numbers of sequential BUP, for any partition
-//! count, thread count, and optimization toggles. ParB must agree too.
+//! count, thread count, and optimization toggles. ParB and the dynamic
+//! engine's seeded peel must agree too.
 
-use bigraph::{gen, Side};
+use bigraph::{builder::from_edges, gen, Side};
+use proptest::prelude::*;
 use receipt::{bup, parb, tip_decompose, Config};
 
 fn graphs() -> Vec<(&'static str, bigraph::BipartiteCsr)> {
@@ -123,4 +125,37 @@ fn wedge_accounting_is_consistent() {
     let r = tip_decompose(&g, Side::U, &Config::default().baseline_variant());
     assert_eq!(r.metrics.wedges_cd, bup_wedges);
     assert!(r.metrics.wedges_fd <= bup_wedges);
+}
+
+/// Strategy: a random edge list, sometimes with a hub secondary wired to
+/// most primaries so the seeded peel's bitset skip has a list to skip.
+fn arb_graph() -> impl Strategy<Value = bigraph::BipartiteCsr> {
+    (1usize..80, 1usize..30, 0u32..3).prop_flat_map(|(nu, nv, hub_stride)| {
+        proptest::collection::vec((0..nu as u32, 0..nv as u32), 0..400).prop_map(
+            move |mut edges| {
+                if hub_stride > 0 {
+                    edges.extend((0..nu as u32).step_by(hub_stride as usize).map(|u| (u, 0)));
+                }
+                from_edges(nu, nv, &edges).unwrap()
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine's tip-refresh kernel computes BUP's tips on both sides
+    /// and never reports more work than BUP's wedge count.
+    #[test]
+    fn seeded_peel_matches_bup(g in arb_graph()) {
+        let counts = butterfly::count_graph(&g);
+        for side in [Side::U, Side::V] {
+            let view = g.view(side);
+            let (want, bup_wedges) = bup::peel_all(view, counts.side(side), 4);
+            let (got, work) = receipt::peel::seeded_peel(view, counts.side(side), 4);
+            prop_assert_eq!(&got, &want);
+            prop_assert!(work <= bup_wedges, "work {} > BUP wedges {}", work, bup_wedges);
+        }
+    }
 }
