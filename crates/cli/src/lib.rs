@@ -7,15 +7,20 @@
 
 use bigraph::{BipartiteCsr, Side};
 use receipt::engine::{EngineOptions, StreamEngine};
-use receipt::report::{ServeResponse, ServeSessionReport, ServeStats, TopKEntry};
+use receipt::report::{ServeSessionReport, ServeStats};
 use receipt::{hierarchy, Config};
-use std::io::{BufRead, Read, Write};
+use std::io::Write;
 
-/// Parsed command line.
+mod serve;
+pub use serve::{
+    handle_request, read_frame, run_scripted_session, serve_framed, write_frame, SessionError,
+};
+
+/// Parsed command line. What each subcommand accepts is listed once, in
+/// the parser's table, and shown to users in [`USAGE`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `tip <input> [--side U|V] [--partitions N] [--threads N]
-    /// [--no-huc] [--no-dgm] [--output FILE] [--json] [--stats]`
+    /// Tip numbers of one side.
     Tip {
         input: String,
         side: Side,
@@ -24,7 +29,7 @@ pub enum Command {
         json: bool,
         stats: bool,
     },
-    /// `wing <input> [--side U|V] [--partitions N] [--output FILE] [--json]`
+    /// Wing numbers of every edge.
     Wing {
         input: String,
         side: Side,
@@ -32,14 +37,13 @@ pub enum Command {
         output: Option<String>,
         json: bool,
     },
-    /// `count <input> [--output FILE] [--json]`
+    /// Per-vertex butterfly counts.
     Count {
         input: String,
         output: Option<String>,
         json: bool,
     },
-    /// `stream <input> <ops> [--side U|V] [--dirty-threshold F]
-    /// [--compact-threshold F] [--verify] [--output FILE] [--json]`
+    /// Batch-dynamic updates replayed from an ops file.
     Stream {
         input: String,
         ops: String,
@@ -49,9 +53,7 @@ pub enum Command {
         output: Option<String>,
         json: bool,
     },
-    /// `serve <input> [--dirty-threshold F] [--compact-threshold F]
-    /// [--verify] [--requests FILE] [--socket PATH] [--output FILE]
-    /// [--wal DIR] [--checkpoint-every N]`
+    /// The resident query engine (see the `serve` module).
     Serve {
         input: String,
         /// As for `stream`.
@@ -70,8 +72,8 @@ pub enum Command {
         /// Fold a fresh checkpoint every N durable batches (0 = never).
         checkpoint_every: u64,
     },
-    /// `convert <input> <output> [--from text|binary] [--to text|binary]
-    /// [--json]` — formats inferred from `.bgr` extensions when not given.
+    /// Text/binary graph conversion; formats inferred from `.bgr`
+    /// extensions when not given.
     Convert {
         input: String,
         output: String,
@@ -79,17 +81,14 @@ pub enum Command {
         to: Option<String>,
         json: bool,
     },
-    /// `recover <dir> [--json] [--output FILE]` — open a durable store,
-    /// repair a torn WAL tail, replay past the checkpoint, verify against
-    /// the from-scratch oracle.
+    /// Open a durable store, repair a torn WAL tail, replay past the
+    /// checkpoint, verify against the from-scratch oracle.
     Recover {
         dir: String,
         json: bool,
         output: Option<String>,
     },
-    /// `version <tag|list|diff|at> <dir> [names..] [--verify]
-    /// [--dump FILE] [--json] [--output FILE]` — named versions over a
-    /// durable store (`VERSIONING.md`).
+    /// Named versions over a durable store (`VERSIONING.md`).
     Version {
         /// `"tag"`, `"list"`, `"diff"`, or `"at"`.
         op: String,
@@ -104,9 +103,7 @@ pub enum Command {
         json: bool,
         output: Option<String>,
     },
-    /// `derive <subgraph|union|diff> <a> [<b>] [--ids LIST] [--side U|V]
-    /// --output FILE [--json]` — set-algebraic graph construction
-    /// (`VERSIONING.md` §6).
+    /// Set-algebraic graph construction (`VERSIONING.md` §6).
     Derive {
         /// `"subgraph"`, `"union"`, or `"diff"`.
         op: String,
@@ -119,43 +116,22 @@ pub enum Command {
         output: String,
         json: bool,
     },
-    /// `ktips <input> -k N [--side U|V]`
+    /// The k-tip components at one `k`.
     KTips {
         input: String,
         side: Side,
         k: u64,
     },
-    /// `stats <input>`
+    /// Graph size, degree, butterfly and wedge statistics.
     Stats {
         input: String,
     },
-    /// `generate <preset> [--output FILE]` — emit a dataset analog.
+    /// Emit a dataset analog.
     Generate {
         preset: String,
         output: Option<String>,
     },
     Help,
-}
-
-impl Command {
-    /// The subcommand keyword, used in run-error context.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Command::Tip { .. } => "tip",
-            Command::Wing { .. } => "wing",
-            Command::Count { .. } => "count",
-            Command::Stream { .. } => "stream",
-            Command::Serve { .. } => "serve",
-            Command::Convert { .. } => "convert",
-            Command::Recover { .. } => "recover",
-            Command::Version { .. } => "version",
-            Command::Derive { .. } => "derive",
-            Command::KTips { .. } => "ktips",
-            Command::Stats { .. } => "stats",
-            Command::Generate { .. } => "generate",
-            Command::Help => "help",
-        }
-    }
 }
 
 /// Argument-parsing failure with a user-facing message.
@@ -180,9 +156,11 @@ USAGE:
   tipdecomp count <edges.tsv> [--output FILE] [--json]
   tipdecomp stream <edges.tsv> <ops.txt> [--side U|V] [--dirty-threshold F]
                               [--compact-threshold F] [--verify]
+                              [--partitions N] [--threads N]
                               [--output FILE] [--json]
   tipdecomp serve <edges.tsv> [--dirty-threshold F] [--compact-threshold F]
                               [--verify] [--requests FILE] [--socket PATH]
+                              [--partitions N] [--threads N]
                               [--output FILE] [--wal DIR]
                               [--checkpoint-every N]
   tipdecomp convert <in> <out> [--from text|binary] [--to text|binary]
@@ -239,160 +217,248 @@ U side), `union`/`diff` merge or subtract edge sets. Contracts and
 the same `tag`/`at` as request ops.
 Output: `--json` emits a versioned report document (see README, \"JSON
 output\") instead of TSV; `--out` is an alias for `--output`.
+Options may come before, between or after the positional arguments; an
+option a subcommand does not list, a repeated option, or a missing value
+is a usage error (exit 2).
 ";
 
-/// Positional (non-flag) arguments, skipping the value of every option
-/// in `value_opts` so `--output FILE` and friends are not mistaken for
-/// inputs. Used by the multi-positional subcommands (`version`,
-/// `derive`).
-fn positionals(rest: &[&String], value_opts: &[&str]) -> Vec<String> {
-    rest.iter()
-        .enumerate()
-        .filter(|(i, s)| {
-            !s.starts_with('-') && (*i == 0 || !value_opts.contains(&rest[i - 1].as_str()))
-        })
-        .map(|(_, s)| s.to_string())
-        .collect()
+/// One subcommand's grammar: how many positionals it takes and which
+/// options it accepts. [`parse`] rejects everything else.
+struct Spec {
+    name: &'static str,
+    /// Inclusive bounds on the positional count.
+    positionals: (usize, usize),
+    /// What the positionals are, for the "needs …" message.
+    needs: &'static str,
+    /// For subcommands whose first positional names an operation: each
+    /// operation with the exact positional count it takes, itself included.
+    ops: &'static [(&'static str, usize)],
+    /// Options that consume the next argument as their value.
+    values: &'static [&'static str],
+    /// Options that take no value.
+    flags: &'static [&'static str],
 }
 
-/// Parses `args` (without the binary name).
-pub fn parse(args: &[String]) -> Result<Command, UsageError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
-        return Ok(Command::Help);
-    };
-    let rest: Vec<&String> = it.collect();
-    let positional = |rest: &[&String]| -> Result<String, UsageError> {
-        rest.first()
-            .filter(|s| !s.starts_with('-'))
-            .map(|s| s.to_string())
-            .ok_or_else(|| UsageError(format!("`{cmd}` needs an input file")))
-    };
-    let flag = |name: &str| rest.iter().any(|a| a.as_str() == name);
-    let opt = |name: &str| -> Option<&String> {
-        rest.iter()
-            .position(|a| a.as_str() == name)
-            .and_then(|i| rest.get(i + 1))
-            .copied()
-    };
-    let opt_usize = |name: &str, default: usize| -> Result<usize, UsageError> {
-        match opt(name) {
+/// Every subcommand's grammar. `--out` is accepted wherever `--output` is.
+#[rustfmt::skip]
+const SPECS: &[Spec] = &[
+    Spec { name: "tip", positionals: (1, 1), needs: "an input file", ops: &[],
+        values: &["--side", "--partitions", "--threads", "--output"],
+        flags: &["--no-huc", "--no-dgm", "--json", "--stats"] },
+    Spec { name: "wing", positionals: (1, 1), needs: "an input file", ops: &[],
+        values: &["--side", "--partitions", "--output"], flags: &["--json"] },
+    Spec { name: "count", positionals: (1, 1), needs: "an input file", ops: &[],
+        values: &["--output"], flags: &["--json"] },
+    Spec { name: "stream", positionals: (2, 2), needs: "a graph file and an ops file", ops: &[],
+        values: &["--side", "--partitions", "--threads", "--dirty-threshold",
+                  "--compact-threshold", "--output"],
+        flags: &["--verify", "--json"] },
+    Spec { name: "serve", positionals: (1, 1), needs: "an input file", ops: &[],
+        values: &["--partitions", "--threads", "--dirty-threshold", "--compact-threshold",
+                  "--requests", "--socket", "--output", "--wal", "--checkpoint-every"],
+        flags: &["--verify"] },
+    Spec { name: "convert", positionals: (2, 2), needs: "an input file and an output file",
+        ops: &[], values: &["--from", "--to"], flags: &["--json"] },
+    Spec { name: "recover", positionals: (1, 1), needs: "a store directory", ops: &[],
+        values: &["--output"], flags: &["--json"] },
+    Spec { name: "version", positionals: (2, 4),
+        needs: "an operation (tag, list, diff, or at), a store directory, and its tag names",
+        ops: &[("tag", 3), ("list", 2), ("diff", 4), ("at", 3)],
+        values: &["--dump", "--output"], flags: &["--verify", "--json"] },
+    Spec { name: "derive", positionals: (2, 3),
+        needs: "an operation (subgraph, union, or diff) and its input graphs",
+        ops: &[("subgraph", 2), ("union", 3), ("diff", 3)],
+        values: &["--ids", "--side", "--output"], flags: &["--json"] },
+    Spec { name: "ktips", positionals: (1, 1), needs: "an input file", ops: &[],
+        values: &["-k", "--side"], flags: &[] },
+    Spec { name: "stats", positionals: (1, 1), needs: "an input file", ops: &[],
+        values: &[], flags: &[] },
+    Spec { name: "generate", positionals: (1, 1), needs: "a preset", ops: &[],
+        values: &["--output"], flags: &[] },
+    Spec { name: "help", positionals: (0, 0), needs: "nothing", ops: &[], values: &[], flags: &[] },
+];
+
+/// A command line after the one pass over it: the positionals in order,
+/// and every option given, under its table name.
+#[derive(Default)]
+struct Args {
+    positionals: Vec<String>,
+    values: Vec<(&'static str, String)>,
+    flags: Vec<&'static str>,
+}
+
+impl Args {
+    /// Walks `rest` left to right under `spec`. Options may come before,
+    /// between or after positionals; an option the table does not list, a
+    /// value option without its value, a repeated option, or a positional
+    /// count outside the table's range is a usage error.
+    fn scan(spec: &Spec, rest: &[String]) -> Result<Args, UsageError> {
+        let (cmd, mut args, mut rest) = (spec.name, Args::default(), rest.iter());
+        while let Some(arg) = rest.next() {
+            let name = if arg == "--out" { "--output" } else { arg };
+            let listed = |names: &[&'static str]| names.iter().copied().find(|n| *n == name);
+            if !arg.starts_with('-') {
+                args.positionals.push(arg.clone());
+            } else if args.flag(name) || args.values.iter().any(|(n, _)| *n == name) {
+                return Err(UsageError(format!("`{cmd}` got {name} twice")));
+            } else if let Some(opt) = listed(spec.values) {
+                // Another option is never a value: `--output --json` lacks
+                // its file rather than writing to "--json".
+                let value = rest.next().filter(|v| !v.starts_with("--"));
+                let value = value.ok_or_else(|| UsageError(format!("{opt} needs a value")))?;
+                args.values.push((opt, value.clone()));
+            } else if let Some(flag) = listed(spec.flags) {
+                args.flags.push(flag);
+            } else {
+                return Err(UsageError(format!("`{cmd}` does not take {arg}")));
+            }
+        }
+        // An operation fixes the positional count; else the range bounds it.
+        let (min, max) = match args.positionals.first().filter(|_| !spec.ops.is_empty()) {
+            None => spec.positionals,
+            Some(op) => match spec.ops.iter().find(|(o, _)| o == op) {
+                Some(&(_, want)) => (want, want),
+                None => return Err(UsageError(format!("unknown {cmd} operation {op:?}"))),
+            },
+        };
+        let n = args.positionals.len();
+        if n < min {
+            return Err(UsageError(format!("`{cmd}` needs {}", spec.needs)));
+        }
+        if n > max {
+            return Err(UsageError(format!(
+                "`{cmd}` takes at most {max} positionals, got {n}"
+            )));
+        }
+        Ok(args)
+    }
+
+    fn value(&self, name: &str) -> Option<String> {
+        self.values
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.clone())
+    }
+
+    fn flag(&self, name: &str) -> bool {
+        self.flags.contains(&name)
+    }
+
+    fn opt_usize(&self, name: &str, default: usize) -> Result<usize, UsageError> {
+        match self.value(name) {
             None => Ok(default),
             Some(s) => s
                 .parse()
                 .map_err(|_| UsageError(format!("{name} expects an integer, got {s:?}"))),
         }
-    };
-    // Both threshold flags are fractions the engine compares against: a
-    // NaN makes every comparison false and silently disables the
-    // full-recompute fallback or the overlay compaction.
-    let opt_fraction = |name: &str, default: f64| -> Result<f64, UsageError> {
-        match opt(name) {
-            None => Ok(default),
-            Some(s) => s
-                .parse()
-                .ok()
-                .filter(|x: &f64| x.is_finite() && *x >= 0.0)
-                .ok_or_else(|| {
-                    UsageError(format!(
-                        "{name} expects a finite non-negative number, got {s:?}"
-                    ))
-                }),
-        }
-    };
-    let side = match opt("--side").map(|s| s.to_ascii_uppercase()) {
-        None => Side::U,
-        Some(s) if s == "U" => Side::U,
-        Some(s) if s == "V" => Side::V,
-        Some(s) => return Err(UsageError(format!("--side expects U or V, got {s:?}"))),
-    };
+    }
 
-    // `--out` is an alias for `--output`.
-    let output = || opt("--output").or_else(|| opt("--out")).cloned();
-    let config = || -> Result<Config, UsageError> {
+    /// Both threshold flags are fractions the engine compares against: a
+    /// NaN makes every comparison false and silently disables the
+    /// full-recompute fallback or the overlay compaction.
+    fn opt_fraction(&self, name: &str, default: f64) -> Result<f64, UsageError> {
+        match self.value(name).map(|s| (s.parse::<f64>(), s)) {
+            None => Ok(default),
+            Some((Ok(x), _)) if x.is_finite() && x >= 0.0 => Ok(x),
+            Some((_, s)) => Err(UsageError(format!(
+                "{name} expects a finite non-negative number, got {s:?}"
+            ))),
+        }
+    }
+
+    fn side(&self) -> Result<Side, UsageError> {
+        match self.value("--side").map(|s| s.to_ascii_uppercase()) {
+            None => Ok(Side::U),
+            Some(s) if s == "U" => Ok(Side::U),
+            Some(s) if s == "V" => Ok(Side::V),
+            Some(s) => Err(UsageError(format!("--side expects U or V, got {s:?}"))),
+        }
+    }
+
+    /// Only `tip` lists the ablation flags, so every other config keeps
+    /// HUC and DGM on.
+    fn config(&self) -> Result<Config, UsageError> {
         let mut config = Config::default();
-        config.partitions = opt_usize("--partitions", config.partitions)?;
-        config.threads = opt_usize("--threads", 0)?;
+        config.partitions = self.opt_usize("--partitions", config.partitions)?;
+        config.threads = self.opt_usize("--threads", 0)?;
+        config.huc = !self.flag("--no-huc");
+        config.dgm = !self.flag("--no-dgm");
         Ok(config)
-    };
-    let engine_options = || -> Result<EngineOptions, UsageError> {
+    }
+
+    fn engine_options(&self) -> Result<EngineOptions, UsageError> {
         let defaults = EngineOptions::default();
         Ok(EngineOptions {
-            config: config()?,
-            dirty_threshold: opt_fraction("--dirty-threshold", defaults.dirty_threshold)?,
-            compact_threshold: opt_fraction("--compact-threshold", defaults.compact_threshold)?,
-            verify: flag("--verify"),
+            config: self.config()?,
+            dirty_threshold: self.opt_fraction("--dirty-threshold", defaults.dirty_threshold)?,
+            compact_threshold: self
+                .opt_fraction("--compact-threshold", defaults.compact_threshold)?,
+            verify: self.flag("--verify"),
         })
-    };
+    }
+}
 
-    match cmd.as_str() {
-        "tip" => {
-            let mut config = config()?;
-            config.huc = !flag("--no-huc");
-            config.dgm = !flag("--no-dgm");
-            Ok(Command::Tip {
-                input: positional(&rest)?,
-                side,
-                config,
-                output: output(),
-                json: flag("--json"),
-                stats: flag("--stats"),
-            })
-        }
+/// Parses `args` (without the binary name): one pass under the
+/// subcommand's `SPECS` entry, then the arm builds its [`Command`].
+pub fn parse(args: &[String]) -> Result<Command, UsageError> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    let name = match cmd.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let spec = SPECS
+        .iter()
+        .find(|s| s.name == name)
+        .ok_or_else(|| UsageError(format!("unknown command {cmd:?}")))?;
+    let a = Args::scan(spec, rest)?;
+    // The table bounds the positional count, so these indices exist.
+    let pos = |i: usize| a.positionals[i].clone();
+    match spec.name {
+        "tip" => Ok(Command::Tip {
+            input: pos(0),
+            side: a.side()?,
+            config: a.config()?,
+            output: a.value("--output"),
+            json: a.flag("--json"),
+            stats: a.flag("--stats"),
+        }),
         "wing" => Ok(Command::Wing {
-            input: positional(&rest)?,
-            side,
-            partitions: opt_usize("--partitions", 0)?,
-            output: output(),
-            json: flag("--json"),
+            input: pos(0),
+            side: a.side()?,
+            partitions: a.opt_usize("--partitions", 0)?,
+            output: a.value("--output"),
+            json: a.flag("--json"),
         }),
         "count" => Ok(Command::Count {
-            input: positional(&rest)?,
-            output: output(),
-            json: flag("--json"),
+            input: pos(0),
+            output: a.value("--output"),
+            json: a.flag("--json"),
         }),
-        "stream" => {
-            let input = positional(&rest)?;
-            let ops = rest
-                .get(1)
-                .filter(|s| !s.starts_with('-'))
-                .map(|s| s.to_string())
-                .ok_or_else(|| UsageError("`stream` needs a graph file and an ops file".into()))?;
-            Ok(Command::Stream {
-                input,
-                ops,
-                side,
-                options: engine_options()?,
-                output: output(),
-                json: flag("--json"),
-            })
-        }
-        "serve" => {
-            let options = engine_options()?;
-            Ok(Command::Serve {
-                input: positional(&rest)?,
-                options,
-                requests: opt("--requests").cloned(),
-                socket: opt("--socket").cloned(),
-                output: output(),
-                wal: opt("--wal").cloned(),
-                checkpoint_every: opt_usize(
-                    "--checkpoint-every",
-                    receipt::wal::DEFAULT_CHECKPOINT_EVERY as usize,
-                )? as u64,
-            })
-        }
+        "stream" => Ok(Command::Stream {
+            input: pos(0),
+            ops: pos(1),
+            side: a.side()?,
+            options: a.engine_options()?,
+            output: a.value("--output"),
+            json: a.flag("--json"),
+        }),
+        "serve" => Ok(Command::Serve {
+            input: pos(0),
+            options: a.engine_options()?,
+            requests: a.value("--requests"),
+            socket: a.value("--socket"),
+            output: a.value("--output"),
+            wal: a.value("--wal"),
+            checkpoint_every: a.opt_usize(
+                "--checkpoint-every",
+                receipt::wal::DEFAULT_CHECKPOINT_EVERY as usize,
+            )? as u64,
+        }),
         "convert" => {
-            let input = positional(&rest)?;
-            let out = rest
-                .get(1)
-                .filter(|s| !s.starts_with('-'))
-                .map(|s| s.to_string())
-                .ok_or_else(|| {
-                    UsageError("`convert` needs an input file and an output file".into())
-                })?;
             let fmt = |name: &str| -> Result<Option<String>, UsageError> {
-                match opt(name).map(|s| s.to_ascii_lowercase()) {
+                match a.value(name).map(|s| s.to_ascii_lowercase()) {
                     None => Ok(None),
                     Some(s) if s == "text" || s == "binary" => Ok(Some(s)),
                     Some(s) => Err(UsageError(format!(
@@ -401,88 +467,30 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 }
             };
             Ok(Command::Convert {
-                input,
-                output: out,
+                input: pos(0),
+                output: pos(1),
                 from: fmt("--from")?,
                 to: fmt("--to")?,
-                json: flag("--json"),
+                json: a.flag("--json"),
             })
         }
         "recover" => Ok(Command::Recover {
-            dir: rest
-                .first()
-                .filter(|s| !s.starts_with('-'))
-                .map(|s| s.to_string())
-                .ok_or_else(|| UsageError("`recover` needs a store directory".into()))?,
-            json: flag("--json"),
-            output: output(),
+            dir: pos(0),
+            json: a.flag("--json"),
+            output: a.value("--output"),
         }),
-        "version" => {
-            let non_flags = positionals(&rest, &["--dump", "--output", "--out"]);
-            let [op, tail @ ..] = non_flags.as_slice() else {
-                return Err(UsageError(
-                    "`version` needs an operation: tag, list, diff, or at".into(),
-                ));
-            };
-            let [dir, names @ ..] = tail else {
-                return Err(UsageError(format!(
-                    "`version {op}` needs a store directory"
-                )));
-            };
-            let arity = match op.as_str() {
-                "tag" | "at" => 1,
-                "list" => 0,
-                "diff" => 2,
-                other => {
-                    return Err(UsageError(format!(
-                        "unknown version operation {other:?} (tag, list, diff, or at)"
-                    )))
-                }
-            };
-            if names.len() != arity {
-                return Err(UsageError(format!(
-                    "`version {op}` takes {arity} tag name(s), got {}",
-                    names.len()
-                )));
-            }
-            Ok(Command::Version {
-                op: op.clone(),
-                dir: dir.clone(),
-                names: names.to_vec(),
-                verify: flag("--verify"),
-                dump: opt("--dump").cloned(),
-                json: flag("--json"),
-                output: output(),
-            })
-        }
+        "version" => Ok(Command::Version {
+            op: pos(0),
+            dir: pos(1),
+            names: a.positionals[2..].to_vec(),
+            verify: a.flag("--verify"),
+            dump: a.value("--dump"),
+            json: a.flag("--json"),
+            output: a.value("--output"),
+        }),
         "derive" => {
-            let non_flags = positionals(&rest, &["--ids", "--side", "--output", "--out"]);
-            let [op, inputs @ ..] = non_flags.as_slice() else {
-                return Err(UsageError(
-                    "`derive` needs an operation: subgraph, union, or diff".into(),
-                ));
-            };
-            let want_b = match op.as_str() {
-                "subgraph" => false,
-                "union" | "diff" => true,
-                other => {
-                    return Err(UsageError(format!(
-                        "unknown derive operation {other:?} (subgraph, union, or diff)"
-                    )))
-                }
-            };
-            let (a, b) = match (inputs, want_b) {
-                ([a], false) => (a.clone(), None),
-                ([a, b], true) => (a.clone(), Some(b.clone())),
-                _ => {
-                    return Err(UsageError(format!(
-                        "`derive {op}` takes {} input graph(s), got {}",
-                        1 + usize::from(want_b),
-                        inputs.len()
-                    )))
-                }
-            };
-            let ids = match (op.as_str(), opt("--ids")) {
+            let op = pos(0);
+            let ids = match (op.as_str(), a.value("--ids")) {
                 ("subgraph", Some(list)) => list
                     .split(',')
                     .map(|s| {
@@ -497,36 +505,33 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 _ => Vec::new(),
             };
             Ok(Command::Derive {
-                op: op.clone(),
-                a,
-                b,
+                a: pos(1),
+                b: a.positionals.get(2).cloned(),
                 ids,
-                side,
-                output: output()
+                side: a.side()?,
+                output: a
+                    .value("--output")
                     .ok_or_else(|| UsageError(format!("`derive {op}` needs --output FILE")))?,
-                json: flag("--json"),
+                json: a.flag("--json"),
+                op,
             })
         }
-        "ktips" => {
-            let k = opt("-k")
+        "ktips" => Ok(Command::KTips {
+            input: pos(0),
+            side: a.side()?,
+            k: a.value("-k")
                 .ok_or_else(|| UsageError("ktips needs -k N".into()))?
                 .parse()
-                .map_err(|_| UsageError("-k expects an integer".into()))?;
-            Ok(Command::KTips {
-                input: positional(&rest)?,
-                side,
-                k,
-            })
-        }
-        "stats" => Ok(Command::Stats {
-            input: positional(&rest)?,
+                .map_err(|_| UsageError("-k expects an integer".into()))?,
         }),
+        "stats" => Ok(Command::Stats { input: pos(0) }),
         "generate" => Ok(Command::Generate {
-            preset: positional(&rest)?,
-            output: output(),
+            preset: pos(0),
+            output: a.value("--output"),
         }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(UsageError(format!("unknown command {other:?}"))),
+        // `help`, the table's last entry (a unit test pins that every
+        // entry builds the variant of its own name).
+        _ => Ok(Command::Help),
     }
 }
 
@@ -545,6 +550,16 @@ fn format_of<'a>(path: &str, explicit: Option<&'a str>) -> &'a str {
     } else {
         "text"
     })
+}
+
+/// Fails unless `dir` holds a durable store (FORMATS.md §4).
+fn require_store(dir: &str) -> Result<(), String> {
+    if receipt::wal::Store::exists(std::path::Path::new(dir)) {
+        return Ok(());
+    }
+    Err(format!(
+        "no store at {dir} (expected checkpoint.meta; see FORMATS.md \u{a7}4)"
+    ))
 }
 
 /// Reads a graph in either on-disk format (see [`format_of`]).
@@ -704,327 +719,6 @@ fn run_stream(
     } else {
         drive()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Serve mode: length-prefixed JSON frames over stdin/stdout or a Unix
-// socket, or a scripted newline-delimited session (`--requests`). All ids
-// on the wire share the graph file's id base, exactly like stream ops.
-
-/// Reads one length-prefixed frame: an ASCII decimal byte length, a
-/// newline, then exactly that many payload bytes. Returns `None` on clean
-/// EOF (or a blank line, which closes the session like EOF).
-pub fn read_frame(reader: &mut dyn BufRead) -> Result<Option<String>, String> {
-    let mut header = String::new();
-    let n = reader
-        .read_line(&mut header)
-        .map_err(|e| format!("serve: failed to read frame header: {e}"))?;
-    let header = header.trim();
-    if n == 0 || header.is_empty() {
-        return Ok(None);
-    }
-    let len: usize = header.parse().map_err(|_| {
-        format!("serve: frame header must be a decimal byte length, got {header:?}")
-    })?;
-    // Grow with the bytes that arrive, never with the claimed length: a
-    // hostile header must not size an allocation.
-    let mut payload = Vec::new();
-    let got = Read::take(reader, len as u64)
-        .read_to_end(&mut payload)
-        .map_err(|e| format!("serve: truncated {len}-byte frame: {e}"))?;
-    if got < len {
-        return Err(format!(
-            "serve: truncated {len}-byte frame: got {got} bytes"
-        ));
-    }
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|e| format!("serve: frame payload is not UTF-8: {e}"))
-}
-
-/// Writes one length-prefixed frame and flushes it.
-pub fn write_frame(writer: &mut dyn Write, payload: &str) -> Result<(), String> {
-    write!(writer, "{}\n{payload}", payload.len()).map_err(|e| e.to_string())?;
-    writer.flush().map_err(|e| e.to_string())
-}
-
-/// Reads an optional vertex-id field, shifting it down when the graph
-/// file (and therefore the wire protocol) is 1-based.
-fn req_id(value: &serde_json::Value, field: &str, one_based: bool) -> Result<Option<u32>, String> {
-    let Some(entry) = value.get(field).filter(|e| !e.is_null()) else {
-        return Ok(None);
-    };
-    let id = entry
-        .as_u64()
-        .ok_or_else(|| format!("{field} must be a non-negative integer"))?;
-    if one_based && id == 0 {
-        return Err(format!(
-            "{field} is 0 but the graph file is 1-based (ids share its base)"
-        ));
-    }
-    let id = if one_based { id - 1 } else { id };
-    u32::try_from(id)
-        .map(Some)
-        .map_err(|_| format!("{field} {id} out of range"))
-}
-
-fn req_side(value: &serde_json::Value) -> Result<Side, String> {
-    match value.get("side").and_then(|s| s.as_str()) {
-        None => Ok(Side::U),
-        Some(s) if s.eq_ignore_ascii_case("U") => Ok(Side::U),
-        Some(s) if s.eq_ignore_ascii_case("V") => Ok(Side::V),
-        Some(other) => Err(format!("side must be U or V, got {other:?}")),
-    }
-}
-
-/// Answers one serve request. `Ok((response, shutdown))` covers both
-/// well-formed answers and per-request errors (`ok: false` responses —
-/// unknown op, out-of-range vertex, absent edge); `Err` is reserved for
-/// fatal session failures, i.e. an `apply` whose in-engine differential
-/// verification diverged.
-pub fn handle_request(
-    engine: &StreamEngine,
-    one_based: bool,
-    seq: u64,
-    text: &str,
-) -> Result<(ServeResponse, bool), String> {
-    // Every query answers from ONE snapshot grabbed up front, so the
-    // response is internally consistent with a single epoch even while a
-    // writer publishes mid-request.
-    let snapshot = engine.snapshot();
-    let epoch = snapshot.epoch();
-    let fail = |op: &str, e: String| Ok((ServeResponse::error(seq, op, epoch, e), false));
-
-    let value = match serde_json::from_str_value(text) {
-        Ok(v) => v,
-        Err(e) => return fail("?", format!("unparseable request: {e}")),
-    };
-    let Some(op) = value.get("op").and_then(|v| v.as_str()).map(str::to_owned) else {
-        return fail("?", "request needs a string `op` field".into());
-    };
-
-    let has_vertex = value.get("vertex").is_some_and(|v| !v.is_null());
-    let mut response = ServeResponse::new(seq, &op, epoch);
-    match op.as_str() {
-        "tip" | "butterflies" if has_vertex || op == "tip" => {
-            let side = match req_side(&value) {
-                Ok(s) => s,
-                Err(e) => return fail(&op, e),
-            };
-            let vertex = match req_id(&value, "vertex", one_based) {
-                Ok(Some(v)) => v,
-                Ok(None) => return fail(&op, format!("{op} needs a `vertex` field")),
-                Err(e) => return fail(&op, e),
-            };
-            let answer = match op.as_str() {
-                "tip" => snapshot.tip(side, vertex),
-                _ => snapshot.vertex_butterflies(side, vertex),
-            };
-            match answer {
-                Some(v) => response.value = Some(v),
-                None => return fail(&op, format!("vertex {vertex} out of range on side {side}")),
-            }
-        }
-        "butterflies" => {
-            // Edge form: `{"op": "butterflies", "u": .., "v": ..}`.
-            let (u, v) = match (
-                req_id(&value, "u", one_based),
-                req_id(&value, "v", one_based),
-            ) {
-                (Ok(Some(u)), Ok(Some(v))) => (u, v),
-                (Err(e), _) | (_, Err(e)) => return fail(&op, e),
-                _ => {
-                    return fail(
-                        &op,
-                        "butterflies needs either `vertex` (+ optional `side`) or `u` and `v`"
-                            .into(),
-                    )
-                }
-            };
-            match snapshot.edge_butterflies(u, v) {
-                Some(c) => response.value = Some(c),
-                None => return fail(&op, format!("edge ({u}, {v}) is absent")),
-            }
-        }
-        "topk" => {
-            let side = match req_side(&value) {
-                Ok(s) => s,
-                Err(e) => return fail(&op, e),
-            };
-            let k = value.get("k").and_then(|v| v.as_u64()).unwrap_or(10) as usize;
-            let shift = u32::from(one_based);
-            response.topk = Some(
-                snapshot
-                    .top_k_densest(side, k)
-                    .into_iter()
-                    .map(|d| TopKEntry {
-                        id: d.id + shift,
-                        side,
-                        tip: d.tip,
-                        butterflies: d.butterflies,
-                    })
-                    .collect(),
-            );
-        }
-        "stats" => response.stats = Some(ServeStats::from_snapshot(&snapshot)),
-        "epoch" => response.value = Some(epoch),
-        "apply" => {
-            let Some(items) = value.get("ops").and_then(|v| v.as_array()) else {
-                return fail(
-                    &op,
-                    "apply needs an `ops` array of \"+u v\" / \"-u v\" strings".into(),
-                );
-            };
-            let mut text = String::new();
-            for item in items {
-                let Some(line) = item.as_str() else {
-                    return fail(&op, "apply ops must be strings".into());
-                };
-                // Blank entries would split batches in the file format;
-                // one request is one batch.
-                if line.trim().is_empty() {
-                    continue;
-                }
-                text.push_str(line);
-                text.push('\n');
-            }
-            let batches = match bigraph::dynamic::read_batches(text.as_bytes()) {
-                Ok(b) => b,
-                Err(e) => return fail(&op, format!("bad apply ops: {e}")),
-            };
-            let batch: Vec<bigraph::EdgeOp> = batches.into_iter().flatten().collect();
-            let batch = match rebase_ops(vec![batch], one_based, "apply request") {
-                Ok(mut b) => b.pop().unwrap_or_default(),
-                Err(e) => return fail(&op, e),
-            };
-            // A verification divergence is fatal: the engine state can no
-            // longer be trusted, so the session dies rather than `ok:
-            // false`-ing its way onward.
-            let outcome = engine
-                .apply_batch(&batch)
-                .map_err(|e| format!("apply (seq {seq}): {e}"))?;
-            // A failed checkpoint fold is non-fatal (the batch is
-            // committed and published): warn and keep serving.
-            if let Some(warning) = &outcome.checkpoint_error {
-                eprintln!("wal: warning: {warning}; retrying at the next boundary");
-            }
-            response.epoch = outcome.epoch;
-            response.batch = Some(receipt::report::StreamBatchReport::from_outcome(
-                outcome.epoch as usize - 1,
-                req_side(&value).unwrap_or(Side::U),
-                &outcome,
-            ));
-        }
-        "tag" => {
-            // Versioning ops need the durable store next to the WAL
-            // (`VERSIONING.md` §2); a memory-only engine has no history
-            // to tag.
-            let Some(dir) = engine.store_dir() else {
-                return fail(&op, "tag requires a durable store (serve --wal DIR)".into());
-            };
-            let Some(name) = value.get("name").and_then(|v| v.as_str()) else {
-                return fail(&op, "tag needs a string `name` field".into());
-            };
-            let mut versions = match receipt::version::VersionStore::open(&dir) {
-                Ok(v) => v,
-                Err(e) => return fail(&op, e.to_string()),
-            };
-            // The tag names the engine's current end state (§3.2): the
-            // published snapshot plus the LSN it was committed under.
-            let lsn = engine.end_lsn().unwrap_or(0);
-            match versions.tag_snapshot(name, lsn, &snapshot) {
-                Ok(vref) => {
-                    response.version = Some(receipt::report::VersionEntryReport::from_ref(vref))
-                }
-                Err(e) => return fail(&op, e.to_string()),
-            }
-        }
-        "at" => {
-            let Some(dir) = engine.store_dir() else {
-                return fail(&op, "at requires a durable store (serve --wal DIR)".into());
-            };
-            let Some(name) = value.get("name").and_then(|v| v.as_str()) else {
-                return fail(&op, "at needs a string `name` field".into());
-            };
-            // Time travel replays into a throwaway read-only engine;
-            // `open_at` already checksum-verifies the reached state, so
-            // the per-batch differential oracle stays off.
-            let mut options = engine.options().clone();
-            options.verify = false;
-            match StreamEngine::open_at(&dir, name, options) {
-                Ok((historic, info)) => {
-                    response.version =
-                        Some(receipt::report::VersionEntryReport::from_ref(&info.version));
-                    response.stats = Some(ServeStats::from_snapshot(&historic.snapshot()));
-                }
-                Err(e) => return fail(&op, e.to_string()),
-            }
-        }
-        "shutdown" => return Ok((response, true)),
-        other => return fail(other, format!("unknown op {other:?}")),
-    }
-    Ok((response, false))
-}
-
-/// Why a framed session ended early.
-#[derive(Debug)]
-pub enum SessionError {
-    /// Framing or I/O failure on this one connection; a socket server
-    /// drops the connection and keeps serving.
-    Connection(String),
-    /// An `apply` whose in-engine verification diverged
-    /// ([`handle_request`]'s `Err`): the engine can no longer be trusted,
-    /// so the server stops.
-    Diverged(String),
-}
-
-/// Serves length-prefixed frames until EOF or a `shutdown` request.
-/// Returns `true` iff the session ended with an explicit `shutdown` (so a
-/// socket server can distinguish "client went away" from "stop serving").
-pub fn serve_framed(
-    engine: &StreamEngine,
-    one_based: bool,
-    reader: &mut dyn BufRead,
-    writer: &mut dyn Write,
-) -> Result<bool, SessionError> {
-    let mut seq = 0u64;
-    while let Some(text) = read_frame(reader).map_err(SessionError::Connection)? {
-        let (response, shutdown) =
-            handle_request(engine, one_based, seq, &text).map_err(SessionError::Diverged)?;
-        let payload = serde_json::to_string(&response)
-            .map_err(|e| SessionError::Connection(e.to_string()))?;
-        write_frame(writer, &payload).map_err(SessionError::Connection)?;
-        seq += 1;
-        if shutdown {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-/// Replays a newline-delimited JSON request script (blank lines and `#`
-/// comments skipped) and returns every response in order. Stops early at
-/// `shutdown`; fails the whole session on a fatal `apply` divergence.
-pub fn run_scripted_session(
-    engine: &StreamEngine,
-    one_based: bool,
-    script: &str,
-) -> Result<Vec<ServeResponse>, String> {
-    let mut responses = Vec::new();
-    let mut seq = 0u64;
-    for line in script.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (response, shutdown) = handle_request(engine, one_based, seq, line)?;
-        responses.push(response);
-        seq += 1;
-        if shutdown {
-            break;
-        }
-    }
-    Ok(responses)
 }
 
 /// Executes a parsed command. Returns the process exit code.
@@ -1256,43 +950,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     return emit_json(&report, &output);
                 }
                 if let Some(path) = socket {
-                    // One connection at a time; the listener keeps
-                    // accepting until a client sends `shutdown`.
-                    use std::os::unix::fs::FileTypeExt;
-                    use std::os::unix::net::UnixListener;
-                    // Clear only a stale socket; anything else at the path
-                    // makes `bind` fail and is left untouched.
-                    if std::fs::symlink_metadata(&path).is_ok_and(|m| m.file_type().is_socket()) {
-                        let _ = std::fs::remove_file(&path);
-                    }
-                    let listener = UnixListener::bind(&path)
-                        .map_err(|e| format!("cannot bind {path}: {e}"))?;
-                    eprintln!("serving on {path} (epoch {})", engine.epoch());
-                    let result = loop {
-                        let (stream, _) = match listener.accept() {
-                            Ok(pair) => pair,
-                            Err(e) => break Err(format!("accept failed: {e}")),
-                        };
-                        let session = match stream.try_clone() {
-                            Ok(read_half) => serve_framed(
-                                &engine,
-                                one_based,
-                                &mut std::io::BufReader::new(read_half),
-                                &mut &stream,
-                            ),
-                            Err(e) => Err(SessionError::Connection(e.to_string())),
-                        };
-                        match session {
-                            Ok(true) => break Ok(()),
-                            Ok(false) => continue,
-                            // A misbehaving or vanishing client is not
-                            // fatal to the server; a verify divergence is.
-                            Err(SessionError::Diverged(e)) => break Err(e),
-                            Err(SessionError::Connection(e)) => eprintln!("session error: {e}"),
-                        }
-                    };
-                    let _ = std::fs::remove_file(&path);
-                    return result;
+                    return serve::serve_socket(&engine, one_based, &path);
                 }
                 let stdin = std::io::stdin();
                 let mut reader = stdin.lock();
@@ -1346,11 +1004,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Recover { dir, json, output } => {
-            if !receipt::wal::Store::exists(std::path::Path::new(&dir)) {
-                return Err(format!(
-                    "no store at {dir} (expected checkpoint.meta; see FORMATS.md \u{a7}4)"
-                ));
-            }
+            require_store(&dir)?;
             let t0 = std::time::Instant::now();
             let (engine, info) = StreamEngine::open_durable(
                 std::path::Path::new(&dir),
@@ -1438,11 +1092,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             };
             use receipt::version::{self, VersionStore};
             let dpath = std::path::Path::new(&dir);
-            if !receipt::wal::Store::exists(dpath) {
-                return Err(format!(
-                    "no store at {dir} (expected checkpoint.meta; see FORMATS.md \u{a7}4)"
-                ));
-            }
+            require_store(&dir)?;
             let entry_line = |e: &VersionEntryReport| {
                 format!(
                     "{}\tlsn {}\t{} butterflies\ttip checksums {:#018x}/{:#018x}",
@@ -1450,38 +1100,25 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 )
             };
             let mut report = VersionReport::new(&op, &dir);
+            // What text mode prints; `--json` emits `report` instead.
+            let mut text = Vec::new();
             match op.as_str() {
                 "tag" => {
                     let vref = version::tag_head(dpath, &names[0], EngineOptions::default())
                         .map_err(|e| e.to_string())?;
-                    report.tagged = Some(VersionEntryReport::from_ref(&vref));
+                    let tagged = VersionEntryReport::from_ref(&vref);
+                    text.push(format!("tagged {}", entry_line(&tagged)));
+                    report.tagged = Some(tagged);
                     let vs = VersionStore::open(dpath).map_err(|e| e.to_string())?;
                     report.versions =
                         Some(vs.list().iter().map(VersionEntryReport::from_ref).collect());
-                    if json {
-                        emit_json(&report, &output)?;
-                    } else {
-                        let mut out = sink(&output)?;
-                        writeln!(
-                            out,
-                            "tagged {}",
-                            entry_line(report.tagged.as_ref().unwrap())
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
                 }
                 "list" => {
                     let vs = VersionStore::open(dpath).map_err(|e| e.to_string())?;
-                    report.versions =
-                        Some(vs.list().iter().map(VersionEntryReport::from_ref).collect());
-                    if json {
-                        emit_json(&report, &output)?;
-                    } else {
-                        let mut out = sink(&output)?;
-                        for e in report.versions.as_ref().unwrap() {
-                            writeln!(out, "{}", entry_line(e)).map_err(|e| e.to_string())?;
-                        }
-                    }
+                    let versions: Vec<_> =
+                        vs.list().iter().map(VersionEntryReport::from_ref).collect();
+                    text.extend(versions.iter().map(entry_line));
+                    report.versions = Some(versions);
                 }
                 "diff" => {
                     let vs = VersionStore::open(dpath).map_err(|e| e.to_string())?;
@@ -1497,6 +1134,9 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         })
                         .collect();
                     let count = |f: fn(&String) -> bool| lines.iter().filter(|l| f(l)).count();
+                    // Bare batch lines: `--output FILE` yields a file that
+                    // `tipdecomp stream` replays as one batch.
+                    text.clone_from(&lines);
                     report.diff = Some(VersionDiffReport {
                         from: VersionEntryReport::from_ref(vs.lookup(&names[0]).unwrap()),
                         to: VersionEntryReport::from_ref(vs.lookup(&names[1]).unwrap()),
@@ -1504,16 +1144,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         deletes: count(|l| l.starts_with('-')),
                         ops: lines,
                     });
-                    if json {
-                        emit_json(&report, &output)?;
-                    } else {
-                        // Bare batch lines: `--output FILE` yields a file
-                        // that `tipdecomp stream` replays as one batch.
-                        let mut out = sink(&output)?;
-                        for line in &report.diff.as_ref().unwrap().ops {
-                            writeln!(out, "{line}").map_err(|e| e.to_string())?;
-                        }
-                    }
                 }
                 "at" => {
                     let t0 = std::time::Instant::now();
@@ -1532,7 +1162,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     if let Some(path) = &dump {
                         write_any(snapshot.graph(), path, None)?;
                     }
-                    report.at = Some(TimeTravelReport {
+                    let at = TimeTravelReport {
                         version: VersionEntryReport::from_ref(&info.version),
                         checkpoint_lsn: info.checkpoint_lsn,
                         wal_records: info.wal_records,
@@ -1552,40 +1182,37 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         verified: verify,
                         time_travel_secs,
                         time_verify_secs,
-                    });
-                    if json {
-                        emit_json(&report, &output)?;
-                    } else {
-                        let at = report.at.as_ref().unwrap();
-                        let mut out = sink(&output)?;
-                        writeln!(
-                            out,
-                            "at {}: checkpoint lsn {}, replayed {}/{} record(s) \
-                             (skipped {} folded, {} above the tag), wal end {}",
-                            entry_line(&at.version),
-                            at.checkpoint_lsn,
-                            at.replayed,
-                            at.wal_records,
-                            at.skipped_folded,
-                            at.skipped_above,
-                            at.wal_end
-                        )
-                        .map_err(|e| e.to_string())?;
-                        writeln!(
-                            out,
-                            "state: {} x {}, {} edges, {} butterflies{}",
-                            at.num_u,
-                            at.num_v,
-                            at.num_edges,
-                            at.total_butterflies,
-                            if at.verified { ", oracle verified" } else { "" }
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
+                    };
+                    text.push(format!(
+                        "at {}: checkpoint lsn {}, replayed {}/{} record(s) \
+                         (skipped {} folded, {} above the tag), wal end {}",
+                        entry_line(&at.version),
+                        at.checkpoint_lsn,
+                        at.replayed,
+                        at.wal_records,
+                        at.skipped_folded,
+                        at.skipped_above,
+                        at.wal_end
+                    ));
+                    text.push(format!(
+                        "state: {} x {}, {} edges, {} butterflies{}",
+                        at.num_u,
+                        at.num_v,
+                        at.num_edges,
+                        at.total_butterflies,
+                        if at.verified { ", oracle verified" } else { "" }
+                    ));
+                    report.at = Some(at);
                 }
                 _ => unreachable!("parse validated the version operation"),
             }
-            Ok(())
+            if json {
+                return emit_json(&report, &output);
+            }
+            let mut out = sink(&output)?;
+            text.iter()
+                .try_for_each(|line| writeln!(out, "{line}"))
+                .map_err(|e| e.to_string())
         }
         Command::Derive {
             op,
@@ -2254,5 +1881,220 @@ mod tests {
         ]))
         .is_err());
         assert!(parse(&sv(&["derive", "invert", "a.tsv", "--output", "o"])).is_err());
+    }
+
+    /// One valid command line per table entry, with every positional the
+    /// entry allows: `(name, positionals, options)`.
+    const SAMPLES: &[(&str, &[&str], &[&str])] = &[
+        (
+            "tip",
+            &["g.tsv"],
+            &["--side", "V", "--no-dgm", "--out", "t.tsv"],
+        ),
+        ("wing", &["g.tsv"], &["--partitions", "2", "--json"]),
+        ("count", &["g.tsv"], &["--json"]),
+        (
+            "stream",
+            &["g.tsv", "ops.txt"],
+            &["--verify", "--threads", "2"],
+        ),
+        ("serve", &["g.tsv"], &["--wal", "store", "--verify"]),
+        ("convert", &["a.tsv", "b.bgr"], &["--to", "binary"]),
+        ("recover", &["store"], &["--json"]),
+        ("version", &["diff", "store", "v0", "v1"], &["--json"]),
+        (
+            "derive",
+            &["union", "a.tsv", "b.tsv"],
+            &["--output", "u.bgr"],
+        ),
+        ("ktips", &["g.tsv"], &["-k", "1"]),
+        ("stats", &["g.tsv"], &[]),
+        ("generate", &["It"], &["--output", "it.tsv"]),
+        ("help", &[], &[]),
+    ];
+
+    #[test]
+    fn every_table_entry_is_strict_and_order_free() {
+        assert_eq!(SAMPLES.len(), SPECS.len());
+        for spec in SPECS {
+            let (_, pos, opts) = SAMPLES.iter().find(|s| s.0 == spec.name).unwrap();
+            let line = |parts: &[&[&str]]| -> Vec<String> {
+                let words = parts.iter().flat_map(|p| p.iter());
+                std::iter::once(&spec.name)
+                    .chain(words)
+                    .map(|s| s.to_string())
+                    .collect()
+            };
+            let err = |parts: &[&[&str]]| parse(&line(parts)).unwrap_err().0;
+            let cmd = parse(&line(&[pos, opts])).unwrap();
+            let variant = format!("{cmd:?}").to_lowercase();
+            assert!(
+                variant.starts_with(spec.name),
+                "{variant} built for {}",
+                spec.name
+            );
+            // Options may come before or between the positionals.
+            assert_eq!(parse(&line(&[opts, pos])), Ok(cmd.clone()), "{}", spec.name);
+            let (first, rest) = pos.split_at(pos.len().min(1));
+            assert_eq!(parse(&line(&[first, opts, rest])), Ok(cmd), "{}", spec.name);
+
+            assert!(err(&[pos, opts, &["--bogus"]]).contains("does not take --bogus"));
+            assert!(err(&[pos, opts, &["extra"]]).contains("takes at most"));
+            for opt in spec.values {
+                assert!(err(&[pos, &[opt]]).contains("needs a value"), "{opt}");
+                assert!(
+                    err(&[pos, &[opt, "--json"]]).contains("needs a value"),
+                    "{opt}"
+                );
+                assert!(
+                    err(&[pos, &[opt, "1", opt, "1"]]).contains("twice"),
+                    "{opt}"
+                );
+            }
+            for flag in spec.flags {
+                assert!(err(&[pos, &[flag, flag]]).contains("twice"), "{flag}");
+            }
+        }
+        // `--out` is `--output` under another name, not a second option.
+        let err = parse(&sv(&["tip", "g.tsv", "--output", "a", "--out", "b"])).unwrap_err();
+        assert!(err.0.contains("twice"), "{}", err.0);
+        // A value may itself start with one dash.
+        let err = parse(&sv(&["serve", "g.tsv", "--dirty-threshold", "-1"])).unwrap_err();
+        assert!(err.0.contains("finite non-negative"), "{}", err.0);
+    }
+
+    #[test]
+    fn version_and_derive_operations_fix_the_positional_count() {
+        for (line, fragment) in [
+            ("version promote store v0", "unknown version operation"),
+            ("version list", "needs an operation"),
+            ("version tag store", "its tag names"),
+            ("version at store v1 v2", "takes at most 3"),
+            ("derive subgraph a b --ids 0 --out o", "takes at most 2"),
+            ("derive union a --out o", "its input graphs"),
+        ] {
+            let err = parse(&sv(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
+            assert!(err.0.contains(fragment), "{line:?}: {}", err.0);
+        }
+    }
+
+    /// Every option the table lists shows up in its subcommand's `USAGE`
+    /// lines, so the help text cannot fall behind the parser again.
+    #[test]
+    fn usage_lists_every_table_option() {
+        for spec in SPECS.iter().filter(|s| s.name != "help") {
+            let mut words = Vec::new();
+            let mut inside = false;
+            for line in USAGE.lines() {
+                let trimmed = line.trim_start();
+                if let Some(cmd) = trimmed.strip_prefix("tipdecomp ") {
+                    inside = cmd.split_whitespace().next() == Some(spec.name);
+                } else if line.len() - trimmed.len() < 20 {
+                    inside = false;
+                }
+                if inside {
+                    words.extend(line.split(|c: char| c.is_whitespace() || "[]".contains(c)));
+                }
+            }
+            for opt in spec.values.iter().chain(spec.flags) {
+                assert!(words.contains(opt), "`{}` usage lacks {opt}", spec.name);
+            }
+        }
+    }
+
+    /// Every `tipdecomp` command line that CI, the README, the CLI's
+    /// black-box tests and the perfbench harness run must parse.
+    const DOCUMENTED_LINES: &[&str] = &[
+        // .github/workflows/ci.yml
+        "tip /tmp/ci-fixture.tsv --json --out /tmp/tip.json",
+        "wing /tmp/ci-fixture.tsv --partitions 2 --json",
+        "stream /tmp/ci-fixture.tsv /tmp/ci-ops.txt --verify --json --out /tmp/stream.json",
+        "serve /tmp/ci-fixture.tsv --requests /tmp/ci-req.txt --verify --out /tmp/serve.json",
+        "convert /tmp/ci-fixture.tsv /tmp/ci-canon.tsv --to text",
+        "convert /tmp/ci-canon.tsv /tmp/ci-fixture.bgr",
+        "convert /tmp/ci-fixture.bgr /tmp/ci-back.tsv",
+        "serve /tmp/ci-fixture.tsv --requests /tmp/ci-wal-req.txt --verify --wal /tmp/ci-store \
+         --out /tmp/wal-session.json",
+        "recover /tmp/ci-store --json --output /tmp/recover.json",
+        "serve /tmp/ci-fixture.tsv --wal /tmp/ci-store --verify --requests /tmp/ci-reopen-req.txt \
+         --out /tmp/reopen-session.json",
+        "version tag /tmp/ci-store head",
+        "version list /tmp/ci-store",
+        "version diff /tmp/ci-store head head",
+        "version at /tmp/ci-store head --verify --dump /tmp/ci-head.tsv --json \
+         --out /tmp/version-at.json",
+        "derive subgraph /tmp/ci-head.tsv --ids 0,1 --output /tmp/ci-sub.tsv",
+        "derive union /tmp/ci-head.tsv /tmp/ci-canon.tsv --output /tmp/ci-union.bgr",
+        "derive diff /tmp/ci-head.tsv /tmp/ci-canon.tsv --output /tmp/ci-minus.tsv --json",
+        "generate It --output scaling-graph.tsv",
+        "stream scaling-graph.tsv scaling-ops.txt --verify --json --out scaling/stream-t2.json",
+        "serve scaling-graph.tsv --requests serve-req.txt --verify --out scaling/serve-t2.json",
+        // README.md
+        "",
+        "generate It --output it.tsv",
+        "tip it.tsv --side U --stats",
+        "wing it.tsv --partitions 50",
+        "stream it.tsv ops.txt --side U --verify --json",
+        "serve it.tsv --verify",
+        "serve it.tsv --socket /tmp/tip.sock",
+        "serve it.tsv --requests req.txt --out session.json",
+        "convert it.tsv it.bgr",
+        "convert it.bgr back.tsv",
+        "serve it.tsv --wal store/ --checkpoint-every 4",
+        "recover store/ --json",
+        "version tag store head",
+        "version list store",
+        "version diff store head head",
+        "version at store head --verify --dump head.tsv",
+        "derive subgraph head.tsv --ids 0,1 --output sub.tsv",
+        "derive union head.tsv other.tsv --output union.bgr",
+        "tip g.tsv --json",
+        // crates/cli/tests/cli_e2e.rs
+        "help",
+        "tip g.tsv --stats",
+        "generate It --output it.tsv",
+        "stats it.tsv",
+        "wing g.tsv --partitions 2",
+        "ktips g.tsv -k 1",
+        "tip /no/such/file.tsv",
+        "wing /no/such/file.tsv",
+        "generate Zz",
+        "count big.tsv",
+        "stream g.tsv ops.txt --verify",
+        "stream g.tsv ops.txt --json",
+        "convert g.tsv canon.tsv --to text",
+        "convert canon.tsv g.bgr",
+        "convert g.bgr back.tsv",
+        "convert g.bgr g2.bgr",
+        "convert canon.tsv g.bgr --json",
+        "convert bad.bgr out.tsv",
+        "serve g.tsv --requests req.txt --wal store",
+        "recover store --json",
+        "recover nothing",
+        "stream g.tsv /no/such/ops.txt",
+        "serve g.tsv --socket serve.sock",
+        // crates/cli/tests/json_golden.rs
+        "wing g.tsv --partitions 2 --json",
+        "count g.tsv --json",
+        "serve g.tsv --requests req.txt --verify",
+        "convert g.tsv g.bgr --json",
+        "version list store --json",
+        "version diff store v0 v2 --json",
+        "version at store v1 --verify --json",
+        "derive subgraph g.tsv --ids 0,1 --side U --output sub.tsv --json",
+        "derive union g.tsv h.tsv --output u.bgr --json",
+        "wing g.tsv --json",
+        "wing g.tsv --partitions 3 --json",
+        "tip g.tsv --json --out report.json",
+        // perfbench/src/serve_mixed.rs
+        "serve g.tsv --socket serve.sock --wal wal",
+    ];
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        for line in DOCUMENTED_LINES {
+            let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            assert!(parse(&args).is_ok(), "{line:?}: {:?}", parse(&args));
+        }
     }
 }

@@ -14,7 +14,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let name = cmd.name();
+    // `parse` accepted the subcommand, so the first argument names it.
+    let name = args.first().map_or("help", String::as_str);
     if let Err(e) = receipt_cli::run(cmd) {
         eprintln!(
             "error: {e}\n  while running `tipdecomp {name}` (run `tipdecomp help` for usage)"

@@ -92,6 +92,31 @@ fn generate_then_stats_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A misspelled option is a usage error, never a silently different run:
+/// `--verfiy` would skip the oracle, and `--no-gdm` would run the full
+/// RECEIPT instead of the RECEIPT-- ablation.
+#[test]
+fn misspelled_options_exit_2_with_usage() {
+    let dir = temp_dir("misspelled");
+    let graph = write_fixture(&dir);
+    let ops = dir.join("ops.txt");
+    std::fs::write(&ops, "+2 1\n").unwrap();
+    let (graph, ops) = (graph.to_str().unwrap(), ops.to_str().unwrap());
+    for args in [
+        vec!["stream", graph, ops, "--verfiy"],
+        vec!["tip", graph, "--no-gdm", "--json"],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let typo = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(stderr.contains(typo), "{stderr}");
+        assert!(stderr.contains("USAGE"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn wing_and_ktips_on_fixture() {
     let dir = temp_dir("wing");

@@ -21,7 +21,7 @@ pub const RULE_IDS: &[&str] = &[
 /// comment (or a `/// # Safety` doc section for unsafe fns).
 pub const RULE_UNSAFE_NEEDS_SAFETY: &str = "unsafe-needs-safety";
 /// R2: no `unwrap`/`expect`/`panic!`/`assert!` family outside
-/// `#[cfg(test)]` in the fail-closed durable modules.
+/// `#[cfg(test)]` in the fail-closed modules ([`DURABLE_MODULES`]).
 pub const RULE_NO_PANIC_IN_DURABLE: &str = "no-panic-in-durable";
 /// R3: every `Ordering::` use in the lock-free scheduler files carries an
 /// `// ordering:` justification comment.
@@ -39,13 +39,16 @@ pub const RULE_SUPPRESSION_NEEDS_JUSTIFICATION: &str = "suppression-needs-justif
 /// Meta rule: a suppression naming a rule id that does not exist.
 pub const RULE_SUPPRESSION_UNKNOWN_RULE: &str = "suppression-unknown-rule";
 
-/// Fail-closed durable modules (FORMATS.md §2, VERSIONING.md §2): a
-/// corrupt byte must surface as a typed error, never a panic, so torn
-/// inputs cannot crash recovery half-way through a replay.
+/// Fail-closed modules: a corrupt or hostile byte must surface as a
+/// typed error, never a panic. The durable formats (FORMATS.md §2,
+/// VERSIONING.md §2) keep torn inputs from crashing recovery half-way
+/// through a replay; the serve protocol keeps an untrusted socket client
+/// from taking the server down.
 pub const DURABLE_MODULES: &[&str] = &[
     "crates/core/src/wal.rs",
     "crates/core/src/version.rs",
     "crates/bigraph/src/binfmt.rs",
+    "crates/cli/src/serve.rs",
 ];
 
 /// The lock-free scheduler sources whose every atomic ordering must be

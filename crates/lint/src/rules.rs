@@ -525,6 +525,26 @@ mod tests {
     }
 
     #[test]
+    fn r2_scope_covers_the_serve_protocol() {
+        // The serve module decodes bytes from untrusted socket clients, so
+        // it is held to the same fail-closed rule as the durable formats.
+        let src = "fn read(x: Option<u32>) -> u32 {\n    x.expect(\"frame\")\n}\n";
+        let f = rules_on("crates/cli/src/serve.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, RULE_NO_PANIC_IN_DURABLE);
+        assert!(rules_on("crates/cli/src/lib.rs", src).is_empty());
+        assert_eq!(
+            DURABLE_MODULES,
+            [
+                "crates/core/src/wal.rs",
+                "crates/core/src/version.rs",
+                "crates/bigraph/src/binfmt.rs",
+                "crates/cli/src/serve.rs",
+            ]
+        );
+    }
+
+    #[test]
     fn r2_does_not_flag_unwrap_or_else_or_expect_err() {
         let src = "fn f(x: Result<u32, E>) -> u32 {\n    x.unwrap_or_else(|_| 0)\n}\nfn g(x: Result<u32, E>) -> E {\n    x.expect_err_helper()\n}\n";
         assert!(rules_on("crates/core/src/wal.rs", src).is_empty());
